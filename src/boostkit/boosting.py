@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -72,8 +73,33 @@ class AdditiveModel:
             f += alpha * stump.evaluate_matrix(X)
         return f
 
+    @cached_property
+    def _term_arrays(self):
+        """Per-term feature, threshold, alpha*left and alpha*right arrays."""
+        n = len(self.terms)
+        feature = np.fromiter((s.feature_index for _, s in self.terms), np.int64, n)
+        threshold = np.fromiter((s.threshold for _, s in self.terms), np.float64, n)
+        left = np.fromiter((a * s.left_output for a, s in self.terms), np.float64, n)
+        right = np.fromiter((a * s.right_output for a, s in self.terms), np.float64, n)
+        return feature, threshold, left, right
+
     def score_one(self, x) -> float:
-        return float(self.score(np.asarray(x, dtype=np.float64)[None, :])[0])
+        """f(x) for one feature vector; equals ``score(x[None])[0]`` bit for bit.
+
+        All terms are evaluated at once and summed in term order from 0.0,
+        the same sequence of additions ``score`` performs per row.
+        """
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 1:
+            raise DataError("score_one expects a single feature vector")
+        feature, threshold, left, right = self._term_arrays
+        bad = (feature < 0) | (feature >= x.shape[0])
+        if bad.any():
+            raise DataError(
+                f"feature index {int(feature[bad.argmax()])} out of range for {x.shape[0]} features"
+            )
+        h = np.where(x[feature] <= threshold, left, right)
+        return float(np.cumsum(np.concatenate(([0.0], h)))[-1])
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return sign_pm1(self.score(X))
@@ -147,19 +173,22 @@ def z_value(D: np.ndarray, h_outputs: np.ndarray, labels: np.ndarray, alpha: flo
     return float(np.sum(D * np.exp(-alpha * y * h)))
 
 
-def _newton_1d(dfn, d2fn, lo: float, hi: float, tol: float) -> float:
-    """Root of an increasing derivative on [lo, hi], Newton with bisection."""
+def _newton_1d(derivs, lo: float, hi: float, tol: float) -> float:
+    """Root of an increasing derivative on [lo, hi], Newton with bisection.
+
+    ``derivs(x)`` returns the first and second derivative at x together, so
+    a caller can get both from one evaluation of its exp or sigmoid.
+    """
     a, b = lo, hi
     x = 0.0 if lo < 0.0 < hi else 0.5 * (lo + hi)
     for _ in range(200):
-        g = dfn(x)
+        g, curv = derivs(x)
         if abs(g) <= tol:
             return x
         if g > 0.0:
             b = x
         else:
             a = x
-        curv = d2fn(x)
         step = g / curv if curv > 0.0 else 0.0
         x_new = x - step
         if not a < x_new < b:
@@ -191,19 +220,20 @@ def alpha_line_search(
         raise DataError("uninformative base classifier: h is zero on the support")
     a_cap = cap / float(np.max(np.abs(h[active])))
 
-    Da, yha = D[active], yh[active]
+    yha = yh[active]
+    # Z' = sum -D yh e and Z'' = sum D yh yh e with e = exp(-a yh)
+    d1w = -D[active] * yha
+    d2w = D[active] * yha * yha
 
-    def dz(a: float) -> float:
-        return float(np.sum(-Da * yha * np.exp(-a * yha)))
+    def derivs(a: float) -> tuple[float, float]:
+        e = np.exp(-a * yha)
+        return float(np.sum(d1w * e)), float(np.sum(d2w * e))
 
-    def d2z(a: float) -> float:
-        return float(np.sum(Da * yha * yha * np.exp(-a * yha)))
-
-    if dz(a_cap) <= 0.0:
+    if derivs(a_cap)[0] <= 0.0:
         return a_cap
-    if dz(-a_cap) >= 0.0:
+    if derivs(-a_cap)[0] >= 0.0:
         return -a_cap
-    return _newton_1d(dz, d2z, -a_cap, a_cap, tol)
+    return _newton_1d(derivs, -a_cap, a_cap, tol)
 
 
 def alpha_logistic_line_search(
@@ -214,7 +244,11 @@ def alpha_logistic_line_search(
     cap: float = ALPHA_CAP,
     tol: float = 1e-10,
 ) -> float:
-    """Minimize sum_i w_i ln(1 + exp(-y_i (f_i + alpha h_i))) over alpha."""
+    """Minimize sum_i w_i ln(1 + exp(-y_i (f_i + alpha h_i))) over alpha.
+
+    Both derivatives come from one sigmoid s = sigmoid(-(yf + a yh)) per
+    Newton step: L' = sum -w yh s and L'' = sum w yh yh s (1 - s).
+    """
     w = np.asarray(base_weights, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
     yh = y * np.asarray(h_outputs, dtype=np.float64)
@@ -225,19 +259,25 @@ def alpha_logistic_line_search(
     a_cap = cap / float(np.max(np.abs(yh[active])))
 
     wa, yha, yfa = w[active], yh[active], yf[active]
+    d1w = -wa * yha
+    d2w = wa * yha * yha
 
-    def dl(a: float) -> float:
-        return float(np.sum(-wa * yha * sigmoid(-(yfa + a * yha))))
+    def derivs(a: float) -> tuple[float, float]:
+        t = a * yha
+        t += yfa
+        np.negative(t, out=t)
+        s = sigmoid(t)
+        d1 = float(np.sum(d1w * s))
+        np.multiply(d2w, s, out=t)
+        np.subtract(1.0, s, out=s)
+        t *= s
+        return d1, float(np.sum(t))
 
-    def d2l(a: float) -> float:
-        s = sigmoid(-(yfa + a * yha))
-        return float(np.sum(wa * yha * yha * s * (1.0 - s)))
-
-    if dl(a_cap) <= 0.0:
+    if derivs(a_cap)[0] <= 0.0:
         return a_cap
-    if dl(-a_cap) >= 0.0:
+    if derivs(-a_cap)[0] >= 0.0:
         return -a_cap
-    return _newton_1d(dl, d2l, -a_cap, a_cap, tol)
+    return _newton_1d(derivs, -a_cap, a_cap, tol)
 
 
 def update_distribution(

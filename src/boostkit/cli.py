@@ -303,11 +303,12 @@ def cmd_cde_sample(args: argparse.Namespace) -> int:
     if n < 1:
         raise UsageError("--n-samples must be >= 1")
     rng = RngState(opt.get("seed", int, 0))
-    rows = []
-    for i in range(X.shape[0]):
-        for s in range(n):
-            value = density_mod.sample(loaded.density, X[i], rng)
-            rows.append([str(i), str(s), repr(value)])
+    values = density_mod.sample_rows(loaded.density, X, n, rng).tolist()
+    rows = [
+        [str(i), str(s), repr(value)]
+        for i, row in enumerate(values)
+        for s, value in enumerate(row)
+    ]
     out_path = opt.get("out", str, required=True)
     _write_csv(out_path, ("row", "sample", "value"), rows)
     print(f"{len(rows)} samples written to {out_path}")
@@ -316,14 +317,14 @@ def cmd_cde_sample(args: argparse.Namespace) -> int:
 
 def cmd_cde_quantile(args: argparse.Namespace) -> int:
     opt = _Options(args)
+    level = opt.get("level", float, required=True)
+    if not 0.0 < level < 1.0:
+        raise UsageError(f"--level must be in (0, 1), got {level!r}")
     loaded = _load_density(opt.get("model", str, required=True))
     X = load_features_csv(opt.get("data", str, required=True), label_column=opt.get("label_col", str, "label"))
     _check_features(X, loaded)
-    level = opt.get("level", float, required=True)
-    rows = [
-        [str(i), repr(density_mod.quantile(loaded.density, X[i], level))]
-        for i in range(X.shape[0])
-    ]
+    values = density_mod.quantiles(loaded.density, X, level).tolist()
+    rows = [[str(i), repr(value)] for i, value in enumerate(values)]
     out_path = opt.get("out", str, required=True)
     _write_csv(out_path, ("row", "value"), rows)
     print(f"quantiles written to {out_path}")

@@ -57,7 +57,11 @@ class Breakpoints:
 
 @dataclass(frozen=True)
 class BinDistribution:
-    """Probability masses over the k+1 bins between consecutive edges."""
+    """Probability masses over the k+1 bins between consecutive edges.
+
+    ``masses`` is one distribution, shape (k+1,), or one per row, shape
+    (n, k+1); every row must be nonnegative and sum to 1.
+    """
 
     masses: np.ndarray
     edges: np.ndarray
@@ -65,9 +69,9 @@ class BinDistribution:
     def __post_init__(self):
         m = np.asarray(self.masses, dtype=np.float64)
         e = np.asarray(self.edges, dtype=np.float64)
-        if e.shape[0] != m.shape[0] + 1:
+        if m.ndim not in (1, 2) or e.shape[0] != m.shape[-1] + 1:
             raise DataError("need one more edge than masses")
-        if np.any(m < 0.0) or abs(float(m.sum()) - 1.0) > 1e-9:
+        if np.any(m < 0.0) or np.any(np.abs(m.sum(axis=-1) - 1.0) > 1e-9):
             raise DataError("masses must be nonnegative and sum to 1")
         object.__setattr__(self, "masses", m)
         object.__setattr__(self, "edges", e)
@@ -165,34 +169,68 @@ def train_cde(ds: Dataset, k: int, cfg: BoostConfig) -> ConditionalDensityModel:
 def distribution_from_scores(q_raw: np.ndarray, breakpoints: Breakpoints) -> BinDistribution:
     """Bin masses from raw survival estimates q_j ~= Pr[y >= b_j | x].
 
+    ``q_raw`` holds k estimates, or an (n, k) array of them for n rows.
     Monotonicity is enforced by a running minimum anchored at 1 on the left
-    and 0 on the right, so masses are nonnegative by construction; they are
-    renormalized to kill floating-point drift.
+    and 0 on the right, so masses are nonnegative by construction; each
+    row is renormalized by its own sum to kill floating-point drift.
     """
     q = np.clip(np.asarray(q_raw, dtype=np.float64), 0.0, 1.0)
-    if q.shape != (breakpoints.k,):
+    if q.ndim not in (1, 2) or q.shape[-1] != breakpoints.k:
         raise DataError(f"need {breakpoints.k} survival estimates, got {q.shape}")
-    q_mono = np.minimum.accumulate(np.concatenate(([1.0], q)))
-    full = np.concatenate((q_mono, [0.0]))
-    masses = -np.diff(full)
-    return BinDistribution(masses / masses.sum(), breakpoints.edges)
+    ends = q.shape[:-1] + (1,)
+    q_mono = np.minimum.accumulate(np.concatenate((np.ones(ends), q), axis=-1), axis=-1)
+    full = np.concatenate((q_mono, np.zeros(ends)), axis=-1)
+    masses = -np.diff(full, axis=-1)
+    return BinDistribution(masses / masses.sum(axis=-1, keepdims=True), breakpoints.edges)
 
 
 def survival_probabilities(model: ConditionalDensityModel, X: np.ndarray) -> np.ndarray:
     """Monotone survival estimates, one row per input: column j is
-    the clamped estimate of Pr[y >= b_j | x]."""
+    the clamped estimate of Pr[y >= b_j | x].
+
+    A single row is scored with ``score_one``, which evaluates all of a
+    classifier's terms at once; more rows are scored term by term.
+    """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] < model.required_features():
         raise DataError(f"inputs must have at least {model.required_features()} features")
-    q = np.column_stack([prob_positive(c.score(X), model.link) for c in model.classifiers])
+    if X.shape[0] == 1:
+        f = np.array([[c.score_one(X[0]) for c in model.classifiers]])
+    else:
+        f = np.column_stack([c.score(X) for c in model.classifiers])
+    q = prob_positive(f, model.link)
     return np.minimum.accumulate(np.clip(q, 0.0, 1.0), axis=1)
+
+
+def conditional_distributions(model: ConditionalDensityModel, X: np.ndarray) -> BinDistribution:
+    """Estimated distribution of y for every row of X: masses of shape (n, k+1)."""
+    return distribution_from_scores(survival_probabilities(model, X), model.breakpoints)
 
 
 def conditional_distribution(model: ConditionalDensityModel, x) -> BinDistribution:
     """Estimated distribution of y given one feature vector."""
-    x = np.asarray(x, dtype=np.float64)
-    q = np.array([prob_positive(c.score_one(x), model.link) for c in model.classifiers])
-    return distribution_from_scores(q, model.breakpoints)
+    dist = conditional_distributions(model, np.asarray(x, dtype=np.float64)[None, :])
+    return BinDistribution(dist.masses[0], dist.edges)
+
+
+def sample_rows(model: ConditionalDensityModel, X: np.ndarray, n: int, rng: RngState) -> np.ndarray:
+    """n draws for every row of X, shape (rows, n), in row-major draw order.
+
+    Each row's distribution is computed once. Each draw takes two uniforms,
+    the first picking a bin by inverse CDF and the second a point uniform
+    within it, so the stream advances by 2 * rows * n.
+    """
+    dist = conditional_distributions(model, X)
+    rows, bins = dist.masses.shape
+    u = np.array([rng.random() for _ in range(2 * rows * n)]).reshape(rows, n, 2)
+    cum = np.cumsum(dist.masses, axis=1)
+    idx = np.empty((rows, n), dtype=np.intp)
+    for i in range(rows):
+        idx[i] = np.searchsorted(cum[i], u[i, :, 0], side="right")
+    np.minimum(idx, bins - 1, out=idx)
+    lo = dist.edges[idx]
+    hi = dist.edges[idx + 1]
+    return lo + u[:, :, 1] * (hi - lo)
 
 
 def sample(model: ConditionalDensityModel, x, rng: RngState) -> float:
@@ -201,27 +239,29 @@ def sample(model: ConditionalDensityModel, x, rng: RngState) -> float:
     Consumes exactly two uniforms per call, so sample streams are
     reproducible from the seed.
     """
-    dist = conditional_distribution(model, x)
-    cum = np.cumsum(dist.masses)
-    u = rng.random()
-    idx = int(np.searchsorted(cum, u, side="right"))
-    idx = min(idx, dist.masses.shape[0] - 1)
-    lo = float(dist.edges[idx])
-    hi = float(dist.edges[idx + 1])
-    return lo + rng.random() * (hi - lo)
+    return float(sample_rows(model, np.asarray(x, dtype=np.float64)[None, :], 1, rng)[0, 0])
+
+
+def quantiles(model: ConditionalDensityModel, X: np.ndarray, level: float) -> np.ndarray:
+    """Inverse of each row's piecewise-linear CDF at ``level``, one value per row."""
+    if not 0.0 < level < 1.0:
+        raise DataError("quantile level must be in (0, 1)")
+    dist = conditional_distributions(model, X)
+    masses = dist.masses
+    cum = np.cumsum(masses, axis=1)
+    cum[:, -1] = 1.0
+    # cum is nondecreasing up to its last entry, 1.0 > level, so counting
+    # the entries below level is the left-side searchsorted index
+    idx = np.count_nonzero(cum < level, axis=1)
+    rows = np.arange(masses.shape[0])
+    lo, hi = dist.edges[idx], dist.edges[idx + 1]
+    mass = masses[rows, idx]
+    below = np.where(idx > 0, cum[rows, idx - 1], 0.0)
+    positive = mass > 0.0
+    frac = np.divide(level - below, mass, out=np.zeros_like(mass), where=positive)
+    return np.where(positive, lo + frac * (hi - lo), lo)
 
 
 def quantile(model: ConditionalDensityModel, x, level: float) -> float:
     """Inverse of the piecewise-linear CDF implied by the bin masses."""
-    if not 0.0 < level < 1.0:
-        raise DataError("quantile level must be in (0, 1)")
-    dist = conditional_distribution(model, x)
-    cum = np.concatenate(([0.0], np.cumsum(dist.masses)))
-    cum[-1] = 1.0
-    idx = int(np.searchsorted(cum[1:], level, side="left"))
-    lo, hi = float(dist.edges[idx]), float(dist.edges[idx + 1])
-    mass = float(dist.masses[idx])
-    if mass <= 0.0:
-        return lo
-    frac = (level - float(cum[idx])) / mass
-    return lo + frac * (hi - lo)
+    return float(quantiles(model, np.asarray(x, dtype=np.float64)[None, :], level)[0])

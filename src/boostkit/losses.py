@@ -35,14 +35,27 @@ def log1pexp(x):
 
 
 def sigmoid(x):
-    """1/(1 + exp(-x)), stable for any finite x."""
+    """1/(1 + exp(-x)), stable for any finite x.
+
+    One exp(-|x|) = e serves both branches: 1/(1 + e) where x >= 0 and
+    e/(1 + e) elsewhere, so no exp ever overflows. The result is computed
+    in two in-place buffers.
+    """
     x = np.asarray(x, dtype=np.float64)
+    scalar = x.ndim == 0
+    if scalar:
+        x = x.reshape(1)
+    # The result is allocated before the scratch buffer, so the scratch is
+    # the block freed on return. The other order left more of the heap in
+    # use after large calls and raised the peak memory of batch predict.
     out = np.empty_like(x)
-    pos = x >= 0.0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out if out.ndim else float(out)
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    np.add(e, 1.0, out=out)
+    np.copyto(e, 1.0, where=x >= 0.0)
+    np.divide(e, out, out=out)
+    return float(out[0]) if scalar else out
 
 
 def loss_values(margins, kind: str):

@@ -37,6 +37,7 @@ Density file replaces the loss/link/terms block with:
 
 from __future__ import annotations
 
+import math
 import os
 import tempfile
 from dataclasses import dataclass
@@ -192,12 +193,18 @@ def _read_terms(reader: _LineReader, loss_kind: str) -> AdditiveModel:
         if rnd != expected_round:
             raise DataError(f"{reader.path}: line {reader.pos}: term rounds out of order")
         alpha = _parse_float(reader, parts[2])
-        stump = Stump(
+        if not math.isfinite(alpha):
+            raise DataError(f"{reader.path}: line {reader.pos}: non-finite alpha {parts[2]!r}")
+        fields = (
             _parse_int(reader, parts[3]),
             _parse_float(reader, parts[4]),
             _parse_float(reader, parts[5]),
             _parse_float(reader, parts[6]),
         )
+        try:
+            stump = Stump(*fields)
+        except DataError as exc:
+            raise DataError(f"{reader.path}: line {reader.pos}: {exc}") from None
         terms.append((alpha, stump))
     return AdditiveModel(tuple(terms), loss_kind)
 

@@ -2,13 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from boostkit.boosting import (
     ALPHA_CAP,
     AdditiveModel,
     BoostConfig,
     alpha_binary,
     alpha_line_search,
+    alpha_logistic_line_search,
     bound_report,
     exponential_weights,
     logistic_weights,
@@ -113,6 +117,115 @@ class TestAlphaLineSearch:
             a = alpha_line_search(D, h, y)
             grad = float(np.sum(-D * y * h * np.exp(-a * y * h)))
             assert abs(grad) <= 1e-9
+
+
+class TestLineSearchOracle:
+    """Derivatives from one exp/sigmoid per Newton step give the old alphas."""
+
+    def inputs(self, rng, m, confidence):
+        y = rng.choice([-1.0, 1.0], size=m)
+        h = rng.choice([-1.0, 1.0], size=m)
+        if confidence:
+            h = h * rng.uniform(0.05, 3.0, size=m)
+        h[rng.uniform(size=m) < 0.1] = 0.0
+        D = rng.uniform(0.0, 1.0, size=m)
+        D[rng.uniform(size=m) < 0.1] = 0.0
+        return D / D.sum(), h, y
+
+    def test_exponential_alphas_identical(self, np_rng):
+        for trial in range(200):
+            D, h, y = self.inputs(np_rng, int(np_rng.integers(2, 400)), trial % 2 == 1)
+            if not np.any((D > 0.0) & (h != 0.0)):
+                continue
+            assert repr(alpha_line_search(D, h, y)) == repr(oracles.alpha_line_search(D, h, y))
+
+    def test_logistic_alphas_identical(self, np_rng):
+        for trial in range(200):
+            m = int(np_rng.integers(2, 400))
+            D, h, y = self.inputs(np_rng, m, trial % 2 == 1)
+            if not np.any((D > 0.0) & (h != 0.0)):
+                continue
+            w = D * m
+            f = np_rng.normal(scale=float(np_rng.choice([0.1, 2.0, 20.0])), size=m)
+            assert repr(alpha_logistic_line_search(w, f, h, y)) == repr(
+                oracles.alpha_logistic_line_search(w, f, h, y)
+            )
+
+    def test_capped_cases_identical(self):
+        y = np.array([1.0, -1.0, 1.0])
+        h = np.array([1.0, -1.0, 1.0])  # every example correct: alpha hits +cap
+        D = np.full(3, 1.0 / 3.0)
+        assert alpha_line_search(D, h, y) == oracles.alpha_line_search(D, h, y) == ALPHA_CAP
+        f = np.zeros(3)
+        assert alpha_logistic_line_search(np.ones(3), f, -h, y) == (
+            oracles.alpha_logistic_line_search(np.ones(3), f, -h, y)
+        )
+
+
+def _term(draw, d, binary):
+    feature = draw(st.integers(0, d - 1))
+    threshold = draw(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]))
+    if binary:
+        left = draw(st.sampled_from([-1.0, 1.0]))
+        right = -left
+    else:
+        left = draw(st.sampled_from([0.0, -0.0, 0.25, -1.5]) | st.floats(-5.0, 5.0))
+        right = draw(st.sampled_from([0.0, -0.0, 0.75, -2.0]) | st.floats(-5.0, 5.0))
+    alpha = draw(st.sampled_from([0.0, -0.0, 1.0, -0.5]) | st.floats(-35.0, 35.0))
+    return alpha, Stump(feature, threshold, left, right)
+
+
+@st.composite
+def models_and_rows(draw):
+    kind = draw(st.sampled_from(
+        [("binary", "exponential"), ("confidence", "exponential"), ("confidence", "logistic")]
+    ))
+    d = draw(st.integers(1, 4))
+    terms = tuple(_term(draw, d, kind[0] == "binary") for _ in range(draw(st.integers(0, 30))))
+    row = draw(st.lists(st.sampled_from([-1.0, -0.5, 0.0, 0.3, 1.0]) | st.floats(-2.0, 2.0),
+                        min_size=d, max_size=d))
+    return AdditiveModel(terms, kind[1]), np.array(row)
+
+
+class TestScoreOne:
+    @settings(max_examples=100, deadline=None)
+    @given(models_and_rows())
+    def test_matches_batch_score_bit_for_bit(self, model_row):
+        model, x = model_row
+        assert repr(model.score_one(x)) == repr(float(model.score(x[None, :])[0]))
+        assert repr(model.score_one(x)) == repr(oracles.score_one(model, x))
+
+    def test_trained_models_match_batch_score(self, np_rng):
+        ds = random_classification(np_rng, 120, 3)
+        for stumps, loss in (("binary", "exponential"), ("confidence", "exponential"),
+                             ("confidence", "logistic")):
+            cfg = BoostConfig(rounds=25, loss_kind=loss, stumps=StumpSearchConfig(mode=stumps))
+            model, _ = train(ds, cfg)
+            X = np_rng.uniform(-1.5, 1.5, size=(200, 3))
+            batch = model.score(X)
+            assert [repr(model.score_one(x)) for x in X] == [repr(float(v)) for v in batch]
+
+    def test_all_zero_contributions_give_positive_zero(self):
+        # alpha * h is -0.0 for every term; summing from 0.0 gives +0.0
+        model = AdditiveModel(tuple((-1.0, Stump(0, 0.0, 0.0, 0.0)) for _ in range(5)))
+        x = np.array([0.5])
+        assert repr(float(model.score(x[None, :])[0])) == "0.0"
+        assert repr(model.score_one(x)) == "0.0"
+        assert repr(AdditiveModel(()).score_one(x)) == "0.0"
+
+    def test_feature_index_out_of_range_rejected(self):
+        for bad in (-1, -3, 2, 7):
+            model = AdditiveModel(((1.0, Stump(0, 0.0, -1.0, 1.0)),
+                                   (0.5, Stump(bad, 0.0, -1.0, 1.0))))
+            with pytest.raises(DataError, match=f"feature index {bad} out of range"):
+                model.score_one(np.array([0.1, 0.2]))
+            with pytest.raises(DataError, match=f"feature index {bad} out of range"):
+                model.score(np.array([[0.1, 0.2]]))
+
+    def test_matrix_input_rejected(self):
+        model = AdditiveModel(((1.0, Stump(0, 0.0, -1.0, 1.0)),))
+        with pytest.raises(DataError):
+            model.score_one(np.zeros((2, 1)))
 
 
 class TestUpdateDistribution:

@@ -161,6 +161,21 @@ class TestPredictCommand:
         assert code == 2
         assert "expected 2 features" in capsys.readouterr().err
 
+    def test_nan_alpha_model_is_data_error(self, tmp_path, random_csv, capsys):
+        model_path = self.train_model(tmp_path, random_csv)
+        lines = open(model_path).read().splitlines()
+        i = next(i for i, ln in enumerate(lines) if ln.startswith("term 1 "))
+        parts = lines[i].split()
+        parts[2] = "nan"
+        lines[i] = " ".join(parts)
+        open(model_path, "w").write("\n".join(lines) + "\n")
+        pred_path = tmp_path / "pred.csv"
+        code = main(["predict", "--model", model_path, "--data", random_csv,
+                     "--out", str(pred_path)])
+        assert code == 2
+        assert f"{model_path}: line {i + 1}: non-finite alpha" in capsys.readouterr().err
+        assert not pred_path.exists()
+
 
 class TestEvalCommand:
     def test_perfect_model_report(self, tmp_path, separable_csv, capsys):
@@ -231,6 +246,15 @@ class TestCdeCommands:
             values[level] = [float(r[1]) for r in rows]
         for lo, mid, hi in zip(values["0.25"], values["0.5"], values["0.75"]):
             assert lo <= mid <= hi
+
+    def test_bad_level_is_usage_error_before_loading(self, tmp_path, capsys):
+        # the model and data paths do not exist: the flag is checked first
+        for bad in ("0", "1", "1.5", "-0.25", "nan"):
+            code = main(["cde", "quantile", "--model", str(tmp_path / "none.txt"),
+                         "--data", str(tmp_path / "none.csv"), "--level", bad,
+                         "--out", str(tmp_path / "q.csv")])
+            assert code == 1
+            assert "--level" in capsys.readouterr().err
 
     def test_classification_data_rejected(self, tmp_path, separable_csv):
         code = main(["cde", "train", "--data", separable_csv, "--k", "2",

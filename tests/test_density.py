@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from boostkit.boosting import AdditiveModel, BoostConfig
 from boostkit.density import (
     BinDistribution,
@@ -10,9 +11,12 @@ from boostkit.density import (
     ConditionalDensityModel,
     choose_breakpoints,
     conditional_distribution,
+    conditional_distributions,
     distribution_from_scores,
     quantile,
+    quantiles,
     sample,
+    sample_rows,
     survival_probabilities,
     train_cde,
 )
@@ -218,6 +222,86 @@ class TestQuantile:
         for bad in (0.0, 1.0, -0.5, 1.5):
             with pytest.raises(DataError):
                 quantile(self.quantile_model(), np.array([0.0]), bad)
+
+
+def _bits(values):
+    return [repr(float(v)) for v in np.ravel(values)]
+
+
+class TestRowBatchedQueries:
+    """Scoring every row once gives the bits of the old per-row, per-draw loop."""
+
+    @pytest.fixture(scope="class", params=[3, 12])
+    def trained(self, request):
+        # k=12 gives 13 bins, past the 8 elements where numpy's sum unrolls
+        rng = np.random.default_rng(request.param)
+        X = rng.uniform(-1, 1, size=(300, 2))
+        y = X[:, 0] + (0.1 + 0.5 * np.abs(X[:, 1])) * rng.normal(size=300)
+        model = train_cde(dataset(X, y), request.param, logistic_cfg(12))
+        return model, rng.uniform(-1.2, 1.2, size=(25, 2))
+
+    def test_masses_match_single_row_formula(self, trained):
+        model, X = trained
+        batch = conditional_distributions(model, X).masses
+        assert batch.shape == (X.shape[0], model.k + 1)
+        for i, x in enumerate(X):
+            assert _bits(batch[i]) == _bits(oracles.conditional_masses(model, x))
+            assert _bits(conditional_distribution(model, x).masses) == _bits(batch[i])
+
+    def test_samples_match_per_draw_loop(self, trained):
+        model, X = trained
+        n = 4
+        rng = RngState(17)
+        values = sample_rows(model, X, n, rng)
+        assert values.shape == (X.shape[0], n)
+        assert rng.counter == 2 * X.shape[0] * n
+        ref = RngState(17)
+        expected = [oracles.sample(model, x, ref) for x in X for _ in range(n)]
+        assert _bits(values) == _bits(expected)
+
+    def test_single_draw_matches_oracle_and_stream(self, trained):
+        model, X = trained
+        rng, ref = RngState(5, counter=9), RngState(5, counter=9)
+        for x in X[:10]:
+            assert repr(sample(model, x, rng)) == repr(oracles.sample(model, x, ref))
+        assert rng.counter == ref.counter == 9 + 2 * 10
+
+    def test_quantiles_match_per_row_loop(self, trained):
+        model, X = trained
+        for level in (1e-9, 0.05, 0.25, 0.5, 0.9, 0.999999):
+            values = quantiles(model, X, level)
+            expected = [oracles.quantile(model, x, level) for x in X]
+            assert _bits(values) == _bits(expected)
+            assert repr(quantile(model, X[0], level)) == repr(expected[0])
+
+    def test_zero_mass_bins(self):
+        # non-monotone survival leaves an empty middle bin
+        model = injected_model([0.4, 0.6], 0.0, 9.0, [3.0, 6.0])
+        X = np.zeros((3, 1))
+        for level in (0.3, 0.6, 0.61, 0.9):
+            assert _bits(quantiles(model, X, level)) == _bits(
+                [oracles.quantile(model, x, level) for x in X])
+        rng, ref = RngState(2), RngState(2)
+        assert _bits(sample_rows(model, X, 50, rng)) == _bits(
+            [oracles.sample(model, x, ref) for x in X for _ in range(50)])
+
+    def test_bad_level_and_features_rejected(self, trained):
+        model, X = trained
+        with pytest.raises(DataError, match="level"):
+            quantiles(model, X, 1.0)
+        with pytest.raises(DataError):
+            sample_rows(model, X[:, :0], 1, RngState(0))
+
+    def test_every_row_validated(self):
+        bps = Breakpoints(np.array([1.0, 2.0]), 0.0, 3.0)
+        good = distribution_from_scores(np.array([[0.9, 0.1], [0.2, 0.7]]), bps)
+        np.testing.assert_allclose(good.masses.sum(axis=1), 1.0, atol=1e-12)
+        with pytest.raises(DataError, match="sum to 1"):
+            BinDistribution(np.array([[0.5, 0.25, 0.25], [0.5, 0.25, 0.2]]), bps.edges)
+        with pytest.raises(DataError, match="nonnegative"):
+            BinDistribution(np.array([[0.5, 0.25, 0.25], [1.1, -0.1, 0.0]]), bps.edges)
+        with pytest.raises(DataError, match="survival estimates"):
+            distribution_from_scores(np.zeros((2, 3)), bps)
 
 
 class TestBinDistributionInvariants:

@@ -16,6 +16,7 @@ from boostkit.losses import (
 )
 from boostkit.stumps import Stump, StumpSearchConfig
 
+import oracles
 from conftest import dataset, random_classification
 
 HALF_LN3 = 0.5493061443340549
@@ -35,6 +36,42 @@ class TestStableHelpers:
     def test_sigmoid_monotone(self):
         x = np.linspace(-20, 20, 5000)
         assert np.all(np.diff(sigmoid(x)) > 0)
+
+
+class TestSigmoidOracle:
+    """One exp(-|x|) in place gives the bits of the masked two-branch form."""
+
+    EDGES = (0.0, -0.0, 1e-300, -1e-300, 709.0, -709.0, 745.0, -745.0, 800.0, -800.0,
+             36.0, -36.0, 1.0, -1.0)
+
+    def test_edge_values_bit_identical(self):
+        for v in self.EDGES:
+            new, old = sigmoid(v), oracles.sigmoid(v)
+            assert type(new) is float and type(old) is float
+            assert repr(new) == repr(old), v
+        arr = np.array(self.EDGES)
+        np.testing.assert_array_equal(sigmoid(arr).view(np.int64), oracles.sigmoid(arr).view(np.int64))
+
+    def test_random_arrays_bit_identical(self, np_rng):
+        for scale in (1e-300, 1e-8, 1e-2, 1.0, 10.0, 40.0, 700.0, 1e3):
+            x = np_rng.uniform(-scale, scale, size=5001)
+            np.testing.assert_array_equal(sigmoid(x).view(np.int64),
+                                          oracles.sigmoid(x).view(np.int64))
+            # element by element, and in a 2-D layout
+            assert [repr(sigmoid(v)) for v in x[:200]] == [repr(v) for v in oracles.sigmoid(x[:200]).tolist()]
+            grid = x[:5000].reshape(50, 100)
+            np.testing.assert_array_equal(sigmoid(grid).view(np.int64),
+                                          oracles.sigmoid(grid).view(np.int64))
+
+    def test_scalar_in_scalar_out(self):
+        assert type(sigmoid(0.5)) is float
+        assert type(sigmoid(np.float64(-2.0))) is float
+        assert sigmoid(np.array([0.5])).shape == (1,)
+
+    def test_input_not_modified(self):
+        x = np.array([-3.0, 0.0, 3.0])
+        sigmoid(x)
+        np.testing.assert_array_equal(x, [-3.0, 0.0, 3.0])
 
 
 class TestProbPositive:

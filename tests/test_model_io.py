@@ -94,6 +94,22 @@ class TestValidation:
         with pytest.raises(DataError, match="bad float"):
             load_model(bad)
 
+    def test_nonfinite_term_fields_rejected_with_line(self, tmp_path, np_rng):
+        path = self.write_model(tmp_path, np_rng)
+        lines = open(path).read().splitlines()
+        term_line = next(i for i, ln in enumerate(lines) if ln.startswith("term "))
+        # field 2 is alpha; 4, 5 and 6 are the stump's threshold and outputs
+        for field, value, message in ((2, "nan", "non-finite alpha"), (2, "inf", "non-finite alpha"),
+                                      (2, "-inf", "non-finite alpha"), (4, "nan", "threshold"),
+                                      (5, "inf", "outputs"), (6, "nan", "outputs")):
+            parts = lines[term_line].split()
+            parts[field] = value
+            bad = str(tmp_path / "nonfinite.txt")
+            open(bad, "w").write("\n".join(lines[:term_line] + [" ".join(parts)]
+                                           + lines[term_line + 1:]) + "\n")
+            with pytest.raises(DataError, match=f"^{bad}: line {term_line + 1}: [^/]*{message}"):
+                load_model(bad)
+
     def test_missing_file_is_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_model(str(tmp_path / "nope.txt"))
