@@ -22,7 +22,7 @@ import numpy as np
 
 from .data import Dataset, normalized
 from .errors import BoostkitError, DataError, InvariantError, UsageError
-from .losses import log1pexp, sigmoid
+from .losses import LINKS, log1pexp, sigmoid
 from .stumps import (
     Stump,
     StumpSearchConfig,
@@ -34,7 +34,6 @@ from .stumps import (
 ALPHA_CAP = 35.0  # |alpha| * max|h| <= 35 keeps exp() inside double range
 
 ALPHA_STRATEGIES = ("auto", "closed_form_binary", "line_search", "unit")
-LOSS_KINDS = ("exponential", "logistic")
 
 
 def sign_pm1(f) -> np.ndarray:
@@ -50,7 +49,7 @@ class AdditiveModel:
     loss_kind: str = "exponential"
 
     def __post_init__(self):
-        if self.loss_kind not in LOSS_KINDS:
+        if self.loss_kind not in LINKS:
             raise DataError(f"unknown loss kind {self.loss_kind!r}")
 
     @property
@@ -60,7 +59,7 @@ class AdditiveModel:
     @property
     def link(self) -> str:
         """Probability link bound at training time."""
-        return "sigmoid2f" if self.loss_kind == "exponential" else "sigmoidf"
+        return LINKS[self.loss_kind].name
 
     def required_features(self) -> int:
         return 1 + max((s.feature_index for _, s in self.terms), default=0)
@@ -131,7 +130,7 @@ class BoostConfig:
     def __post_init__(self):
         if self.rounds < 1:
             raise UsageError("rounds must be >= 1")
-        if self.loss_kind not in LOSS_KINDS:
+        if self.loss_kind not in LINKS:
             raise UsageError(f"unknown loss kind {self.loss_kind!r}")
         if self.alpha_strategy not in ALPHA_STRATEGIES:
             raise UsageError(f"unknown alpha strategy {self.alpha_strategy!r}")
@@ -173,14 +172,20 @@ def z_value(D: np.ndarray, h_outputs: np.ndarray, labels: np.ndarray, alpha: flo
     return float(np.sum(D * np.exp(-alpha * y * h)))
 
 
-def _newton_1d(derivs, lo: float, hi: float, tol: float) -> float:
-    """Root of an increasing derivative on [lo, hi], Newton with bisection.
+def _newton_1d(derivs, cap: float, tol: float) -> float:
+    """Minimizer on [-cap, cap] of a convex function given its derivatives.
 
     ``derivs(x)`` returns the first and second derivative at x together, so
-    a caller can get both from one evaluation of its exp or sigmoid.
+    a caller can get both from one evaluation of its exp or sigmoid. A
+    derivative of one sign at an endpoint returns that endpoint; otherwise
+    its root is found by Newton steps safeguarded by bisection.
     """
-    a, b = lo, hi
-    x = 0.0 if lo < 0.0 < hi else 0.5 * (lo + hi)
+    if derivs(cap)[0] <= 0.0:
+        return cap
+    if derivs(-cap)[0] >= 0.0:
+        return -cap
+    a, b = -cap, cap
+    x = 0.0
     for _ in range(200):
         g, curv = derivs(x)
         if abs(g) <= tol:
@@ -229,11 +234,7 @@ def alpha_line_search(
         e = np.exp(-a * yha)
         return float(np.sum(d1w * e)), float(np.sum(d2w * e))
 
-    if derivs(a_cap)[0] <= 0.0:
-        return a_cap
-    if derivs(-a_cap)[0] >= 0.0:
-        return -a_cap
-    return _newton_1d(derivs, -a_cap, a_cap, tol)
+    return _newton_1d(derivs, a_cap, tol)
 
 
 def alpha_logistic_line_search(
@@ -273,11 +274,7 @@ def alpha_logistic_line_search(
         t *= s
         return d1, float(np.sum(t))
 
-    if derivs(a_cap)[0] <= 0.0:
-        return a_cap
-    if derivs(-a_cap)[0] >= 0.0:
-        return -a_cap
-    return _newton_1d(derivs, -a_cap, a_cap, tol)
+    return _newton_1d(derivs, a_cap, tol)
 
 
 def update_distribution(
@@ -326,6 +323,54 @@ def _log_weighted_exp_mean(base: np.ndarray, exponents: np.ndarray) -> float:
     return mx + math.log(s) - math.log(float(base.sum()))
 
 
+class RoundAccounting:
+    """Distribution D, score f and product of normalizers z, round by round.
+
+    Exponential loss carries D forward by the multiplicative update, whose
+    normalizer is z; logistic loss recomputes D from f, and z is the ratio of
+    successive mean exponential surrogates. Base weights scale D and the loss.
+    """
+
+    def __init__(self, base: np.ndarray, labels: np.ndarray, loss_kind: str):
+        self.base = base
+        self.y = labels
+        self.loss_kind = loss_kind
+        self.D = normalized(base)
+        self.f = np.zeros(labels.shape[0])
+        self.prod_z = 1.0
+        self._log_surrogate = 0.0
+
+    def distribution(self) -> np.ndarray:
+        """D for the coming round."""
+        if self.loss_kind == "logistic":
+            self.D = normalized(self.base * sigmoid(-(self.y * self.f)))
+        return self.D
+
+    def error(self, h: np.ndarray) -> float:
+        """Weighted error epsilon of outputs h: the mass of D where sign(h) != y."""
+        return float(np.sum(self.D[sign_pm1(h) != self.y]))
+
+    def add(self, t: int, h: np.ndarray, alpha: float, epsilon: float) -> RoundStats:
+        """Add alpha * h to f and return the stats of round t; epsilon is error(h)."""
+        if self.loss_kind == "exponential":
+            self.D, z = update_distribution(self.D, h, self.y, alpha)
+            self.f = self.f + alpha * h
+        else:
+            self.f = self.f + alpha * h
+            log_surrogate = _log_weighted_exp_mean(self.base, -(self.y * self.f))
+            z = math.exp(log_surrogate - self._log_surrogate)
+            self._log_surrogate = log_surrogate
+        self.prod_z *= z
+        train_error = float(np.mean(sign_pm1(self.f) != self.y))
+        return RoundStats(t, epsilon, 0.5 - epsilon, z, self.prod_z, train_error)
+
+    def loss(self) -> float:
+        """Base-weighted training loss of f."""
+        if self.loss_kind == "exponential":
+            return float(np.sum(self.base * np.exp(-(self.y * self.f))))
+        return float(np.sum(self.base * log1pexp(-(self.y * self.f))))
+
+
 def train(
     ds: Dataset,
     cfg: BoostConfig,
@@ -349,24 +394,20 @@ def train(
     space = _space if _space is not None else StumpSearchSpace(X)
     smoothing = cfg.stumps.resolve_smoothing(m)
 
-    D = normalized(base)
-    f = np.zeros(m)
+    rounds = RoundAccounting(base, y, cfg.loss_kind)
     f_eval = np.zeros(eval_ds.m) if eval_ds is not None else None
     terms: list[tuple[float, Stump]] = []
     stats: list[RoundStats] = []
-    prod_z = 1.0
-    log_surrogate_prev = 0.0
 
     for t in range(1, cfg.rounds + 1):
-        if cfg.loss_kind == "logistic":
-            D = normalized(base * sigmoid(-(y * f)))
+        D = rounds.distribution()
         try:
             if cfg.stumps.mode == "binary":
                 stump, _ = _best_binary(space, D, y)
             else:
                 stump = _best_confidence(space, D, y, smoothing)
             h = stump.evaluate_matrix(X)
-            epsilon = float(np.sum(D[sign_pm1(h) != y]))
+            epsilon = rounds.error(h)
 
             if strategy == "closed_form_binary":
                 alpha = alpha_binary(epsilon)
@@ -374,46 +415,22 @@ def train(
             elif strategy == "unit":
                 alpha = 1.0
                 clamped = False
-            elif cfg.loss_kind == "exponential":
-                alpha = alpha_line_search(D, h, y)
-                clamped = abs(alpha) * float(np.max(np.abs(h))) >= ALPHA_CAP - 1e-9
             else:
-                alpha = alpha_logistic_line_search(base, f, h, y)
+                if cfg.loss_kind == "exponential":
+                    alpha = alpha_line_search(D, h, y)
+                else:
+                    alpha = alpha_logistic_line_search(base, rounds.f, h, y)
                 clamped = abs(alpha) * float(np.max(np.abs(h))) >= ALPHA_CAP - 1e-9
         except BoostkitError as exc:
             raise type(exc)(f"round {t}: {exc}") from exc
 
-        if cfg.loss_kind == "exponential":
-            D, z = update_distribution(D, h, y, alpha)
-            f = f + alpha * h
-            loss = float(np.sum(base * np.exp(-(y * f))))
-        else:
-            f = f + alpha * h
-            log_surrogate = _log_weighted_exp_mean(base, -(y * f))
-            z = math.exp(log_surrogate - log_surrogate_prev)
-            log_surrogate_prev = log_surrogate
-            loss = float(np.sum(base * log1pexp(-(y * f))))
-        prod_z *= z
-
+        s = rounds.add(t, h, alpha, epsilon)
+        s.loss, s.clamped = rounds.loss(), clamped
         terms.append((alpha, stump))
-        train_error = float(np.mean(sign_pm1(f) != y))
-        test_error = None
         if eval_ds is not None:
             f_eval = f_eval + alpha * stump.evaluate_matrix(eval_ds.features)
-            test_error = float(np.mean(sign_pm1(f_eval) != eval_ds.labels))
-        stats.append(
-            RoundStats(
-                round=t,
-                epsilon=epsilon,
-                gamma=0.5 - epsilon,
-                z=z,
-                cumulative_bound=prod_z,
-                train_error=train_error,
-                test_error=test_error,
-                loss=loss,
-                clamped=clamped,
-            )
-        )
+            s.test_error = float(np.mean(sign_pm1(f_eval) != eval_ds.labels))
+        stats.append(s)
 
     return AdditiveModel(tuple(terms), cfg.loss_kind), stats
 
@@ -488,9 +505,7 @@ STATS_CSV_COLUMNS = (
 def stats_csv_rows(stats: list[RoundStats]) -> list[list[str]]:
     """Stats formatted for the per-round CSV stream (header not included)."""
     rows = []
-    gamma_sq = 0.0
-    for s in stats:
-        gamma_sq += s.gamma * s.gamma
+    for s, bound in zip(stats, bound_report(stats).rows):
         rows.append(
             [
                 str(s.round),
@@ -498,7 +513,7 @@ def stats_csv_rows(stats: list[RoundStats]) -> list[list[str]]:
                 repr(s.gamma),
                 repr(s.z),
                 repr(s.cumulative_bound),
-                repr(math.exp(-2.0 * gamma_sq)),
+                repr(bound.exp_bound),
                 repr(s.train_error),
                 "" if s.test_error is None else repr(s.test_error),
             ]

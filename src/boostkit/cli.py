@@ -18,21 +18,20 @@ import numpy as np
 from . import active as active_mod
 from . import density as density_mod
 from .boosting import (
-    AdditiveModel,
     BoostConfig,
-    RoundStats,
+    RoundAccounting,
     bound_report,
     margins,
     sign_pm1,
     stats_csv_rows,
     train,
-    update_distribution,
     STATS_CSV_COLUMNS,
 )
+from .boosting import update_distribution  # noqa: F401  the benchmark tracer patches it here
 from .config import load_config
-from .data import load_csv, load_features_csv, uniform_distribution
+from .data import load_csv, load_features_csv
 from .errors import BoostkitError, DataError, InvariantError, UsageError
-from .losses import empirical_loss, sigmoid
+from .losses import empirical_loss, prob_positive
 from .model_io import (
     LoadedModel,
     atomic_write_text,
@@ -170,10 +169,6 @@ def _check_features(X: np.ndarray, loaded: LoadedModel) -> None:
         raise DataError(f"expected {loaded.features} features, got {X.shape[1]}")
 
 
-def _prob_from_link(f: np.ndarray, link: str) -> np.ndarray:
-    return sigmoid(2.0 * f) if link == "sigmoid2f" else sigmoid(f)
-
-
 def cmd_predict(args: argparse.Namespace) -> int:
     opt = _Options(args)
     loaded = _load_classifier(opt.get("model", str, required=True))
@@ -183,7 +178,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     model = loaded.model
     f = model.score(X)
     h = sign_pm1(f)
-    prob = _prob_from_link(f, loaded.link)
+    prob = prob_positive(f, model.loss_kind)
     rows = [
         [str(i), repr(float(f[i])), repr(float(h[i])), repr(float(prob[i]))]
         for i in range(X.shape[0])
@@ -192,31 +187,6 @@ def cmd_predict(args: argparse.Namespace) -> int:
     _write_csv(out_path, ("row", "f", "H", "prob_positive"), rows)
     print(f"predictions for {X.shape[0]} rows written to {out_path}")
     return 0
-
-
-def _replay_bound_stats(model: AdditiveModel, X: np.ndarray, y: np.ndarray):
-    """Recompute per-round weights from the stored terms on this data."""
-    D = uniform_distribution(X.shape[0])
-    f = np.zeros(X.shape[0])
-    stats = []
-    prod_z = 1.0
-    for t, (alpha, stump) in enumerate(model.terms, start=1):
-        h = stump.evaluate_matrix(X)
-        eps = float(np.sum(D[sign_pm1(h) != y]))
-        D, z = update_distribution(D, h, y, alpha)
-        f += alpha * h
-        prod_z *= z
-        stats.append(
-            RoundStats(
-                round=t,
-                epsilon=eps,
-                gamma=0.5 - eps,
-                z=z,
-                cumulative_bound=prod_z,
-                train_error=float(np.mean(sign_pm1(f) != y)),
-            )
-        )
-    return stats
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -247,7 +217,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     is_binary = all(s.is_binary for _, s in model.terms)
     if model.loss_kind == "exponential" and is_binary:
-        stats = _replay_bound_stats(model, ds.features, ds.labels)
+        # replayed from a uniform distribution; a weight column is ignored
+        rounds = RoundAccounting(np.ones(ds.m), ds.labels, "exponential")
+        stats = []
+        for t, (alpha, stump) in enumerate(model.terms, start=1):
+            h = stump.evaluate_matrix(ds.features)
+            stats.append(rounds.add(t, h, alpha, rounds.error(h)))
         report = bound_report(stats)
         print("bound_chain round epsilon z prod_z prod_sqrt exp_bound train_error")
         for row, s in zip(report.rows, stats):

@@ -22,6 +22,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,10 +78,7 @@ class Dataset:
             w = _readonly(self.weights)
             if w.shape != y.shape:
                 raise DataError("weights must have one entry per example")
-            if not np.all(np.isfinite(w)) or np.any(w < 0.0):
-                raise DataError("weights must be finite and nonnegative")
-            if w.sum() <= 0.0:
-                raise DataError("weights must not all be zero")
+            normalized(w)  # raises unless finite, nonnegative and not all zero
             object.__setattr__(self, "weights", w)
         names = tuple(self.feature_names) or tuple(
             f"f{j}" for j in range(X.shape[1])
@@ -189,6 +187,66 @@ def _parse_cell(text: str, line_no: int, column: str) -> float:
     return v
 
 
+def _read_csv(path: str, pick) -> tuple[list[str], np.ndarray, dict[str, np.ndarray]]:
+    """Feature names, feature matrix and other columns by name, in row order.
+
+    ``pick(header)`` returns the feature columns, the other columns to parse
+    and the prior among them or None; no other column is parsed. If the bulk
+    parse fails, or gives rows of the wrong length, a non-finite value or a
+    prior outside [0, 1], the file is read again cell by cell: :func:`_parse_cell`
+    decides what a cell may hold and names the line and column of any it rejects.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = [h.strip() for h in next(reader)]
+        except StopIteration:
+            raise DataError(f"{path}: empty file") from None
+        index = {h: i for i, h in enumerate(header)}
+        if len(index) != len(header):
+            repeated = next(h for i, h in enumerate(header) if index[h] != i)
+            raise DataError(f"{path}: duplicate column name {repeated!r}")
+        features, others, prior = pick(header)
+        if not features:
+            raise DataError(f"{path}: no feature columns")
+        used = features + others
+        cols = [index[name] for name in used]
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # a body with no rows only warns
+                table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        except (ValueError, Warning):
+            table = None
+
+    values = None
+    if table is not None and table.shape[1] == len(header):
+        values = table[:, cols]
+        p = values[:, used.index(prior)] if prior is not None else 0.0
+        if not (np.all(np.isfinite(values)) and np.all((p >= 0.0) & (p <= 1.0))):
+            values = None
+    if values is None:
+        rows = []
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            next(reader)
+            for line_no, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise DataError(f"{path}: line {line_no}: expected {len(header)} cells, got {len(row)}")
+                cells = []
+                for col, name in zip(cols, used):
+                    cells.append(_parse_cell(row[col], line_no, name))
+                    if name == prior and not 0.0 <= cells[-1] <= 1.0:
+                        raise DataError(f"{path}: line {line_no}: prior out of [0,1]: {cells[-1]!r}")
+                rows.append(cells)
+        if not rows:
+            raise DataError(f"{path}: no data rows")
+        values = np.asarray(rows, dtype=np.float64)
+    d = len(features)
+    return features, values[:, :d], dict(zip(others, values[:, d:].T))
+
+
 def load_csv(
     path: str,
     label_column: str = "label",
@@ -200,57 +258,27 @@ def load_csv(
     features, in file order. When ``prior_column`` is None, a column named
     ``prior`` is used as the prior if present; passing a name makes it
     required. Mode is inferred: classification iff every label is -1 or +1.
+    Column names must be unique.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
+
+    def pick(header):
         if label_column not in header:
             raise DataError(f"{path}: missing label column {label_column!r}")
-        effective_prior = prior_column
+        if prior_column is not None and prior_column not in header:
+            raise DataError(f"{path}: missing prior column {prior_column!r}")
+        prior = prior_column
         if prior_column is None and PRIOR_COLUMN in header:
-            effective_prior = PRIOR_COLUMN
-        if effective_prior is not None and effective_prior not in header:
-            raise DataError(f"{path}: missing prior column {effective_prior!r}")
-        has_weight = WEIGHT_COLUMN in header
-        special = {label_column, WEIGHT_COLUMN}
-        if effective_prior is not None:
-            special.add(effective_prior)
-        feature_names = [h for h in header if h not in special]
-        if not feature_names:
-            raise DataError(f"{path}: no feature columns")
-        col_index = {h: i for i, h in enumerate(header)}
+            prior = PRIOR_COLUMN
+        others = [c for c in (label_column, prior, WEIGHT_COLUMN) if c in header]
+        return [h for h in header if h not in others], others, prior
 
-        feats: list[list[float]] = []
-        labels: list[float] = []
-        prior: list[float] = []
-        weights: list[float] = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DataError(f"{path}: line {line_no}: expected {len(header)} cells, got {len(row)}")
-            feats.append([_parse_cell(row[col_index[n]], line_no, n) for n in feature_names])
-            labels.append(_parse_cell(row[col_index[label_column]], line_no, label_column))
-            if effective_prior is not None:
-                p = _parse_cell(row[col_index[effective_prior]], line_no, effective_prior)
-                if not 0.0 <= p <= 1.0:
-                    raise DataError(f"{path}: line {line_no}: prior out of [0,1]: {p!r}")
-                prior.append(p)
-            if has_weight:
-                weights.append(_parse_cell(row[col_index[WEIGHT_COLUMN]], line_no, WEIGHT_COLUMN))
-
-    if not labels:
-        raise DataError(f"{path}: no data rows")
+    features, X, columns = _read_csv(path, pick)
     return Dataset(
-        features=np.asarray(feats, dtype=np.float64),
-        labels=np.asarray(labels, dtype=np.float64),
-        prior=np.asarray(prior) if prior else None,
-        weights=np.asarray(weights) if weights else None,
-        feature_names=tuple(feature_names),
+        features=X,
+        labels=columns[label_column],
+        prior=columns.get(PRIOR_COLUMN if prior_column is None else prior_column),
+        weights=columns.get(WEIGHT_COLUMN),
+        feature_names=tuple(features),
         label_name=label_column,
     )
 
@@ -258,30 +286,11 @@ def load_csv(
 def load_features_csv(path: str, label_column: str = "label") -> np.ndarray:
     """Feature matrix from a CSV that may or may not carry a label column.
 
-    Label, prior, and weight columns are dropped when present; everything
-    else must parse as finite numbers.
+    Label, prior, and weight columns are dropped when present and never
+    parsed; everything else must parse as finite numbers.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        skip = {label_column, PRIOR_COLUMN, WEIGHT_COLUMN}
-        feature_names = [h for h in header if h not in skip]
-        if not feature_names:
-            raise DataError(f"{path}: no feature columns")
-        col_index = {h: i for i, h in enumerate(header)}
-        feats = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DataError(f"{path}: line {line_no}: expected {len(header)} cells, got {len(row)}")
-            feats.append([_parse_cell(row[col_index[n]], line_no, n) for n in feature_names])
-    if not feats:
-        raise DataError(f"{path}: no data rows")
-    return np.asarray(feats, dtype=np.float64)
+    skip = (label_column, PRIOR_COLUMN, WEIGHT_COLUMN)
+    return _read_csv(path, lambda header: ([h for h in header if h not in skip], [], None))[1]
 
 
 def save_csv(ds: Dataset, path: str) -> None:

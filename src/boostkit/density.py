@@ -84,7 +84,6 @@ class ConditionalDensityModel:
     breakpoints: Breakpoints
     classifiers: tuple[AdditiveModel, ...]
     constant_flags: tuple[bool, ...]
-    link: str = "logistic1"
 
     def __post_init__(self):
         if len(self.classifiers) != self.breakpoints.k:
@@ -198,7 +197,7 @@ def survival_probabilities(model: ConditionalDensityModel, X: np.ndarray) -> np.
         f = np.array([[c.score_one(X[0]) for c in model.classifiers]])
     else:
         f = np.column_stack([c.score(X) for c in model.classifiers])
-    q = prob_positive(f, model.link)
+    q = prob_positive(f, "logistic")
     return np.minimum.accumulate(np.clip(q, 0.0, 1.0), axis=1)
 
 

@@ -10,19 +10,19 @@ Three losses of the margin z = y*f(x):
   paired with the link sigma(f).
 
 The link is bound to the training loss and recorded in model files:
-exponential and logistic2 calibrate with sigma(2f); logistic1 with sigma(f).
+exponential and logistic2 calibrate with sigma(2f); logistic1, the loss
+training calls ``logistic``, with sigma(f). :data:`LINKS` holds the binding.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DataError
-
-LOSS_KINDS = ("exponential", "logistic2", "logistic1")
 
 LN2 = math.log(2.0)
 
@@ -72,21 +72,40 @@ def loss_values(margins, kind: str):
     return out if np.ndim(out) else float(out)
 
 
+class Link(NamedTuple):
+    """The probability link sigma(scale * f), by its model-file name."""
+
+    name: str
+    scale: float
+
+
+# Training loss -> the link its scores are calibrated with.
+LINKS = {
+    "exponential": Link("sigmoid2f", 2.0),
+    "logistic": Link("sigmoidf", 1.0),
+}
+
+# Margin losses and the training loss whose link each shares.
+_TRAINING_LOSS_OF = {"logistic1": "logistic", "logistic2": "exponential"}
+
+
 def prob_positive(f_value, loss_kind: str):
     """Probability of label +1 implied by score f under a loss's link.
 
-    Exponential and logistic2 training use sigma(2f); logistic1 uses
-    sigma(f). Accepts scalars or arrays; result is always strictly inside
-    (0, 1) for finite f up to float saturation.
+    Takes a training or a margin loss: exponential and logistic2 use
+    sigma(2f); logistic and logistic1 use sigma(f). Accepts scalars or
+    arrays; result is always strictly inside (0, 1) for finite f up to float
+    saturation. A non-finite score is an error naming the first such row.
     """
+    link = LINKS.get(_TRAINING_LOSS_OF.get(loss_kind, loss_kind))
+    if link is None:
+        raise DataError(f"unknown loss kind {loss_kind!r}")
     f = np.asarray(f_value, dtype=np.float64)
-    if not np.all(np.isfinite(f)):
-        raise DataError("score must be finite")
-    if loss_kind in ("exponential", "logistic2"):
-        return sigmoid(2.0 * f)
-    if loss_kind == "logistic1":
-        return sigmoid(f)
-    raise DataError(f"unknown loss kind {loss_kind!r}")
+    bad = np.argwhere(~np.isfinite(np.atleast_1d(f)))
+    if bad.size:
+        first = tuple(bad[0])
+        raise DataError(f"score must be finite; row {first[0]} has {float(np.atleast_1d(f)[first])!r}")
+    return sigmoid(link.scale * f)
 
 
 def empirical_loss(model, ds, loss_kind: str) -> float:

@@ -47,12 +47,14 @@ import numpy as np
 from .boosting import ALPHA_CAP, AdditiveModel
 from .density import Breakpoints, ConditionalDensityModel
 from .errors import DataError
+from .losses import LINKS
 from .stumps import Stump
 
 FORMAT_VERSION = 1
 MAGIC = "boostkit-model"
 
-_LINK_FOR_LOSS = {"exponential": "sigmoid2f", "logistic": "sigmoidf"}
+# Fields on a line, its key included, where that is not two (a key and one value).
+_FIELDS = {"term": 7, "support": 3, "classifier": 4, "end": 1}
 
 
 @dataclass(frozen=True)
@@ -93,19 +95,19 @@ def _term_lines(model: AdditiveModel) -> list[str]:
     return lines
 
 
+def _header_lines(mode: str, features: int, seed: int, config: str) -> list[str]:
+    return [f"{MAGIC} {FORMAT_VERSION}", f"mode {mode}", f"seed {seed}", f"config {config}",
+            f"features {features}"]
+
+
 def save_classifier(
     path: str, model: AdditiveModel, features: int, seed: int, config: str
 ) -> None:
     if model.rounds < 1:
         raise DataError("refusing to save a model with no terms")
-    lines = [
-        f"{MAGIC} {FORMAT_VERSION}",
-        "mode classify",
-        f"seed {seed}",
-        f"config {config}",
-        f"features {features}",
+    lines = _header_lines("classify", features, seed, config) + [
         f"loss {model.loss_kind}",
-        f"link {_LINK_FOR_LOSS[model.loss_kind]}",
+        f"link {model.link}",
         f"alpha-cap {_fmt(ALPHA_CAP)}",
     ]
     lines += _term_lines(model)
@@ -116,12 +118,7 @@ def save_classifier(
 def save_density(
     path: str, model: ConditionalDensityModel, features: int, seed: int, config: str
 ) -> None:
-    lines = [
-        f"{MAGIC} {FORMAT_VERSION}",
-        "mode cde",
-        f"seed {seed}",
-        f"config {config}",
-        f"features {features}",
+    lines = _header_lines("cde", features, seed, config) + [
         f"support {_fmt(model.breakpoints.support_lo)} {_fmt(model.breakpoints.support_hi)}",
         f"breakpoints {model.k}",
     ]
@@ -130,7 +127,7 @@ def save_density(
     for j, (clf, const) in enumerate(zip(model.classifiers, model.constant_flags), start=1):
         lines.append(f"classifier {j} constant {int(const)}")
         lines.append(f"loss {clf.loss_kind}")
-        lines.append("link sigmoidf")
+        lines.append(f"link {clf.link}")
         lines += _term_lines(clf)
     lines.append("end")
     atomic_write_text(path, "\n".join(lines) + "\n")
@@ -142,16 +139,19 @@ class _LineReader:
         self.lines = lines
         self.pos = 0
 
-    def next(self, expect_key: str | None = None) -> list[str]:
+    def next(self, expect_key: str) -> list[str]:
         if self.pos >= len(self.lines):
             raise DataError(f"{self.path}: truncated model file")
         parts = self.lines[self.pos].split()
         self.pos += 1
-        if expect_key is not None and (not parts or parts[0] != expect_key):
+        if not parts or parts[0] != expect_key:
             raise DataError(
                 f"{self.path}: line {self.pos}: expected {expect_key!r}, got "
                 f"{self.lines[self.pos - 1]!r}"
             )
+        fields = _FIELDS.get(expect_key, 2)
+        if len(parts) != fields:
+            raise DataError(f"{self.path}: line {self.pos}: a {expect_key!r} line has {fields} fields, got {len(parts)}")
         return parts
 
     def next_raw(self, expect_key: str) -> str:
@@ -187,8 +187,6 @@ def _read_terms(reader: _LineReader, loss_kind: str) -> AdditiveModel:
     terms = []
     for expected_round in range(1, count + 1):
         parts = reader.next("term")
-        if len(parts) != 7:
-            raise DataError(f"{reader.path}: line {reader.pos}: malformed term line")
         rnd = _parse_int(reader, parts[1])
         if rnd != expected_round:
             raise DataError(f"{reader.path}: line {reader.pos}: term rounds out of order")
@@ -209,6 +207,17 @@ def _read_terms(reader: _LineReader, loss_kind: str) -> AdditiveModel:
     return AdditiveModel(tuple(terms), loss_kind)
 
 
+def _read_loss(reader: _LineReader) -> str:
+    """A loss line and the link line after it, which must be that loss's link."""
+    loss = reader.next("loss")[1]
+    if loss not in LINKS:
+        raise DataError(f"{reader.path}: line {reader.pos}: unknown loss {loss!r}")
+    link = reader.next("link")[1]
+    if link != LINKS[loss].name:
+        raise DataError(f"{reader.path}: line {reader.pos}: link {link!r} does not match loss {loss!r}")
+    return loss
+
+
 def load_model(path: str) -> LoadedModel:
     """Parse and validate a model file of either mode."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -216,8 +225,7 @@ def load_model(path: str) -> LoadedModel:
     reader = _LineReader(path, lines)
 
     parts = reader.next(MAGIC)
-    version = _parse_int(reader, parts[1]) if len(parts) == 2 else -1
-    if version != FORMAT_VERSION:
+    if _parse_int(reader, parts[1]) != FORMAT_VERSION:
         raise DataError(f"{path}: unsupported format version {parts[1:]}")
     mode = reader.next("mode")[1]
     seed = _parse_int(reader, reader.next("seed")[1])
@@ -225,15 +233,12 @@ def load_model(path: str) -> LoadedModel:
     features = _parse_int(reader, reader.next("features")[1])
 
     if mode == "classify":
-        loss = reader.next("loss")[1]
-        link = reader.next("link")[1]
-        if link not in ("sigmoid2f", "sigmoidf"):
-            raise DataError(f"{path}: unknown link {link!r}")
+        loss = _read_loss(reader)
         cap = _parse_float(reader, reader.next("alpha-cap")[1])
         del cap  # provenance only
         model = _read_terms(reader, loss)
         reader.next("end")
-        return LoadedModel("classify", model, None, link, features, seed, config)
+        return LoadedModel("classify", model, None, model.link, features, seed, config)
 
     if mode == "cde":
         parts = reader.next("support")
@@ -249,13 +254,11 @@ def load_model(path: str) -> LoadedModel:
             if _parse_int(reader, parts[1]) != j:
                 raise DataError(f"{path}: classifier blocks out of order")
             flags.append(bool(_parse_int(reader, parts[3])))
-            loss = reader.next("loss")[1]
-            reader.next("link")
-            classifiers.append(_read_terms(reader, loss))
+            classifiers.append(_read_terms(reader, _read_loss(reader)))
         reader.next("end")
         density = ConditionalDensityModel(
             Breakpoints(np.asarray(values), lo, hi), tuple(classifiers), tuple(flags)
         )
-        return LoadedModel("cde", None, density, "sigmoidf", features, seed, config)
+        return LoadedModel("cde", None, density, density.classifiers[0].link, features, seed, config)
 
     raise DataError(f"{path}: unknown mode {mode!r}")

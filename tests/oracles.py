@@ -3,11 +3,17 @@
 Each function here is the plain form of a library routine that has a
 faster implementation: a masked two-branch sigmoid, line searches that
 evaluate the first and second derivative in separate passes, per-term
-scoring of one row, and per-row, per-draw density queries.
+scoring of one row, per-row, per-draw density queries, and the two CSV
+readers that parse every cell with ``float``.
 """
+
+import csv
+import math
 
 import numpy as np
 
+from boostkit.data import PRIOR_COLUMN, WEIGHT_COLUMN, Dataset
+from boostkit.errors import DataError
 from boostkit.losses import prob_positive
 
 
@@ -99,7 +105,7 @@ def masses_from_scores(q_raw):
 
 
 def conditional_masses(model, x):
-    q = np.array([prob_positive(score_one(c, x), model.link) for c in model.classifiers])
+    q = np.array([prob_positive(score_one(c, x), "logistic1") for c in model.classifiers])
     return masses_from_scores(q)
 
 
@@ -124,3 +130,110 @@ def quantile(model, x, level):
     if mass <= 0.0:
         return lo
     return lo + (level - float(cum[idx])) / mass * (hi - lo)
+
+
+def _parse_cell(text: str, line_no: int, column: str) -> float:
+    try:
+        v = float(text)
+    except ValueError:
+        raise DataError(
+            f"line {line_no}, column {column!r}: cannot parse {text!r} as a number"
+        ) from None
+    if not math.isfinite(v):
+        raise DataError(f"line {line_no}, column {column!r}: value {text!r} is not finite")
+    return v
+
+
+def load_csv(
+    path: str,
+    label_column: str = "label",
+    prior_column: str | None = None,
+) -> Dataset:
+    """Load a Dataset from a CSV file, preserving row order.
+
+    Columns other than the label, prior, and reserved ``weight`` column are
+    features, in file order. When ``prior_column`` is None, a column named
+    ``prior`` is used as the prior if present; passing a name makes it
+    required. Mode is inferred: classification iff every label is -1 or +1.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError(f"{path}: empty file") from None
+        header = [h.strip() for h in header]
+        if label_column not in header:
+            raise DataError(f"{path}: missing label column {label_column!r}")
+        effective_prior = prior_column
+        if prior_column is None and PRIOR_COLUMN in header:
+            effective_prior = PRIOR_COLUMN
+        if effective_prior is not None and effective_prior not in header:
+            raise DataError(f"{path}: missing prior column {effective_prior!r}")
+        has_weight = WEIGHT_COLUMN in header
+        special = {label_column, WEIGHT_COLUMN}
+        if effective_prior is not None:
+            special.add(effective_prior)
+        feature_names = [h for h in header if h not in special]
+        if not feature_names:
+            raise DataError(f"{path}: no feature columns")
+        col_index = {h: i for i, h in enumerate(header)}
+
+        feats: list[list[float]] = []
+        labels: list[float] = []
+        prior: list[float] = []
+        weights: list[float] = []
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise DataError(f"{path}: line {line_no}: expected {len(header)} cells, got {len(row)}")
+            feats.append([_parse_cell(row[col_index[n]], line_no, n) for n in feature_names])
+            labels.append(_parse_cell(row[col_index[label_column]], line_no, label_column))
+            if effective_prior is not None:
+                p = _parse_cell(row[col_index[effective_prior]], line_no, effective_prior)
+                if not 0.0 <= p <= 1.0:
+                    raise DataError(f"{path}: line {line_no}: prior out of [0,1]: {p!r}")
+                prior.append(p)
+            if has_weight:
+                weights.append(_parse_cell(row[col_index[WEIGHT_COLUMN]], line_no, WEIGHT_COLUMN))
+
+    if not labels:
+        raise DataError(f"{path}: no data rows")
+    return Dataset(
+        features=np.asarray(feats, dtype=np.float64),
+        labels=np.asarray(labels, dtype=np.float64),
+        prior=np.asarray(prior) if prior else None,
+        weights=np.asarray(weights) if weights else None,
+        feature_names=tuple(feature_names),
+        label_name=label_column,
+    )
+
+
+def load_features_csv(path: str, label_column: str = "label") -> np.ndarray:
+    """Feature matrix from a CSV that may or may not carry a label column.
+
+    Label, prior, and weight columns are dropped when present; everything
+    else must parse as finite numbers.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = [h.strip() for h in next(reader)]
+        except StopIteration:
+            raise DataError(f"{path}: empty file") from None
+        skip = {label_column, PRIOR_COLUMN, WEIGHT_COLUMN}
+        feature_names = [h for h in header if h not in skip]
+        if not feature_names:
+            raise DataError(f"{path}: no feature columns")
+        col_index = {h: i for i, h in enumerate(header)}
+        feats = []
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise DataError(f"{path}: line {line_no}: expected {len(header)} cells, got {len(row)}")
+            feats.append([_parse_cell(row[col_index[n]], line_no, n) for n in feature_names])
+    if not feats:
+        raise DataError(f"{path}: no data rows")
+    return np.asarray(feats, dtype=np.float64)

@@ -177,6 +177,81 @@ class TestPredictCommand:
         assert not pred_path.exists()
 
 
+CLASSIFY_KEYS = ("boostkit-model", "mode", "seed", "features", "loss", "link", "alpha-cap",
+                 "terms", "term")
+CDE_KEYS = ("mode", "seed", "features", "support", "breakpoints", "breakpoint", "classifier",
+            "loss", "link", "terms", "term")
+
+
+class TestMalformedModelFiles:
+    @pytest.fixture
+    def commands(self, tmp_path, np_rng):
+        """Per mode: a trained model file and the command that loads it."""
+        clf_data = write_dataset(tmp_path, random_classification(np_rng, 40, 2), "clf.csv")
+        X = np_rng.uniform(-1, 1, size=(60, 2))
+        reg_data = write_dataset(tmp_path, dataset(X, X[:, 0] + np_rng.normal(size=60)), "reg.csv")
+        clf, cde = str(tmp_path / "clf.txt"), str(tmp_path / "cde.txt")
+        assert main(["train", "--data", clf_data, "--rounds", "3", "--out", clf]) == 0
+        assert main(["cde", "train", "--data", reg_data, "--k", "2", "--rounds", "3",
+                     "--out", cde]) == 0
+        out = str(tmp_path / "out.csv")
+        return {
+            "classify": (clf, ["predict", "--data", clf_data, "--out", out]),
+            "cde": (cde, ["cde", "quantile", "--data", reg_data, "--level", "0.5", "--out", out]),
+        }
+
+    def run_edited(self, tmp_path, commands, mode, edit):
+        """Run the mode's command on its model file with one line edited."""
+        model, argv = commands[mode]
+        lines = open(model).read().splitlines()
+        i = edit(lines)
+        bad = str(tmp_path / "bad.txt")
+        open(bad, "w").write("\n".join(lines) + "\n")
+        return main(argv + ["--model", bad]), bad, i + 1
+
+    @pytest.mark.parametrize("mode,key", [("classify", k) for k in CLASSIFY_KEYS]
+                             + [("cde", k) for k in CDE_KEYS])
+    def test_bare_key_line_is_data_error(self, tmp_path, commands, capsys, mode, key):
+        def bare(lines):
+            i = next(i for i, ln in enumerate(lines) if ln.split()[0] == key)
+            lines[i] = key
+            return i
+
+        code, bad, line = self.run_edited(tmp_path, commands, mode, bare)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {bad}: line {line}: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("mode,link,other", [("classify", "sigmoid2f", "sigmoidf"),
+                                                 ("cde", "sigmoidf", "sigmoid2f")])
+    def test_link_must_match_loss(self, tmp_path, commands, capsys, mode, link, other):
+        def swap(lines):
+            i = lines.index(f"link {link}")
+            lines[i] = f"link {other}"
+            return i
+
+        code, bad, line = self.run_edited(tmp_path, commands, mode, swap)
+        assert code == 2
+        assert f"{bad}: line {line}: link {other!r} does not match loss" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_nonfinite_score_is_data_error(self, tmp_path, capsys):
+        model = tmp_path / "huge.txt"
+        model.write_text(
+            "boostkit-model 1\nmode classify\nseed 0\nconfig c\nfeatures 1\n"
+            "loss exponential\nlink sigmoid2f\nalpha-cap 35.0\nterms 1\n"
+            "term 1 1e308 0 1.5 1.0 1e308\nend\n"
+        )
+        data = write_dataset(tmp_path, dataset([[1.0], [2.0], [3.0]], [1.0, -1.0, 1.0]), "d.csv")
+        out = tmp_path / "pred.csv"
+        with np.errstate(over="ignore"):
+            code = main(["predict", "--model", str(model), "--data", data, "--out", str(out)])
+        assert code == 2
+        assert "score must be finite; row 1 has inf" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestEvalCommand:
     def test_perfect_model_report(self, tmp_path, separable_csv, capsys):
         model_path = str(tmp_path / "model.txt")

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import oracles
 from boostkit.data import (
     Dataset,
     datasets_equal,
@@ -89,6 +92,14 @@ class TestLoadCsv:
         ds = load_csv(path)
         np.testing.assert_array_equal(ds.weights, [2.0, 0.5])
         assert ds.d == 1
+
+    def test_duplicate_column_rejected(self, tmp_path):
+        for text, name in (("a,a,label\n5,6,1\n7,8,-1\n", "a"), ("a,label,label\n5,1,1\n", "label"),
+                           ("a,b,label,b\n1,2,1,3\n", "b")):
+            path = write(tmp_path, text)
+            for loader in (load_csv, load_features_csv):
+                with pytest.raises(DataError, match=f"^{path}: duplicate column name '{name}'$"):
+                    loader(path)
 
 
 class TestDatasetInvariants:
@@ -190,3 +201,117 @@ class TestNormalized:
     def test_rejects_negative(self):
         with pytest.raises(DataError):
             normalized(np.array([1.0, -1.0]))
+
+
+def outcome(loader, path, **kwargs):
+    """What a reader gives: its result, or the type and text of its error."""
+    try:
+        return loader(path, **kwargs)
+    except Exception as exc:  # parity covers errors that are not DataError too
+        return (type(exc), str(exc))
+
+
+def same_bits(a, b) -> bool:
+    if a is None or b is None:
+        return a is b
+    return a.shape == b.shape and a.dtype == b.dtype and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def assert_reader_parity(path, **kwargs):
+    new, old = outcome(load_csv, path, **kwargs), outcome(oracles.load_csv, path, **kwargs)
+    if isinstance(old, tuple):
+        assert isinstance(new, tuple) and new == old
+    else:
+        assert isinstance(new, Dataset)
+        for field in ("features", "labels", "prior", "weights"):
+            assert same_bits(getattr(new, field), getattr(old, field)), field
+        assert (new.feature_names, new.label_name) == (old.feature_names, old.label_name)
+    kwargs.pop("prior_column", None)
+    new, old = outcome(load_features_csv, path, **kwargs), outcome(oracles.load_features_csv, path, **kwargs)
+    if isinstance(old, tuple):
+        assert isinstance(new, tuple) and new == old
+    else:
+        assert same_bits(new, old)
+
+
+PARITY_CASES = {
+    "classification": "a,b,label\n1,2,-1\n3,4,-1\n5,6,1\n7,8,1\n",
+    "regression": "a,label\n1,1.5\n2,2.0\n",
+    "prior_and_weight": "a,label,prior,weight\n1,-1,0.25,2\n2,1,0.75,0.5\n",
+    "prior_out_of_range": "a,label,prior\n1,-1,0.5\n2,1,1.2\n",
+    "prior_negative": "a,label,prior\n1,-1,-0.0\n2,1,-1e-300\n",
+    "prior_nan": "a,label,prior\n1,-1,nan\n",
+    "prior_bad_then_weight_bad": "a,label,prior,weight\n1,-1,2.0,x\n",
+    "missing_label": "a,b\n1,2\n",
+    "unparseable": "a,label\n1,-1\nfoo,1\n",
+    "empty_file": "",
+    "header_only": "a,label\n",
+    "header_then_blank_lines": "a,label\n\n\n",
+    "inf": "a,label\ninf,-1\n",
+    "1e999": "a,label\n1,1\n1e999,-1\n",
+    "nan_label": "a,label\n1,nan\n",
+    "negative_weight": "a,label,weight\n1,-1,-2\n",
+    "quoted_cells": 'a,b,label\n"1.5",2,1\n"3","4",-1\n',
+    "quoted_comma": 'a,b,label\n"1,5",2,1\n',
+    "quoted_header": '"a","b",label\n1,2,1\n',
+    "underscore": "a,label\n1_0,1\n2,-1\n",
+    "blank_lines": "a,label\n\n1,1\n\n2,-1\n\n",
+    "whitespace_line": "a,label\n1,1\n   \n2,-1\n",
+    "tab_line": "a,label\n1,1\n\t\n",
+    "crlf": "a,label\r\n1,1\r\n2,-1\r\n",
+    "lone_cr": "a,label\r1,1\r2,-1\r",
+    "stray_cr_in_row": "a,label\n1,\r1\n",
+    "cr_after_cell": "a,b,label\n1\r,2,1\n",
+    "short_row": "a,b,label\n1,2,1\n3,4\n",
+    "long_row": "a,b,label\n1,2,1\n3,4,1,5\n",
+    "all_rows_long": "a,label\n1,1,9\n2,-1,9\n",
+    "trailing_comma": "a,label\n1,1,\n",
+    "only_commas": "a,label\n,\n",
+    "non_numeric_label": "a,b,label\n1,2,cat\n3,4,dog\n",
+    "non_numeric_prior_weight": "a,label,prior,weight\n1,1,p,w\n",
+    "empty_label_cell": "a,b,label\n1,2,\n",
+    "spaces_around": " a , label \n 1 , -1 \n2 ,1\n",
+    "negative_zero": "a,label\n-0,1\n0.0,-1\n",
+    "unicode_digit": "a,label\n\u0661,1\n",
+    "nbsp": "a,label\n1\u00a0,1\n",
+    "single_column": "a\n1\n2\n",
+    "single_column_header_only": "a\n",
+    "single_row": "a,b,label\n1,2,1\n",
+    "no_features": "label,weight\n1,1\n",
+    "hex": "a,label\n0x10,1\n",
+    "long_digits": "a,label\n0.1000000000000000055511151231257827021181583404541015625,1\n",
+    "subnormal": "a,label\n4.9e-324,1\n2.2250738585072014e-308,-1\n",
+    "nul": "a,label\n1\x00,1\n",
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARITY_CASES))
+def test_reader_matches_cell_by_cell_oracle(tmp_path, case):
+    path = write(tmp_path, PARITY_CASES[case])
+    assert_reader_parity(path)
+    assert_reader_parity(path, label_column="b")
+
+
+def test_reader_parity_with_named_prior(tmp_path):
+    for text in ("a,label,p\n1,1,0.5\n", "a,label,p\n1,1,1.5\n", "a,label\n1,1\n",
+                 "a,label,p,prior\n1,1,0.5,0.25\n"):
+        assert_reader_parity(write(tmp_path, text), prior_column="p")
+
+
+CELLS = st.one_of(
+    st.sampled_from(["1", "-2.5", "0", "-0", "1e3", " 4 ", "1_0", "nan", "inf", "-Infinity",
+                     "1e999", '"7"', "", " ", "x", "0.5", "1.5", "+.5", "5.", "\u00a0", "1\r"]),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.text(alphabet="0123456789.-+eE_ \t", max_size=6),
+)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data(), st.sampled_from(["a,b,label", "a,b,label,prior,weight"]),
+       st.sampled_from(["\n", "\r\n", "\r"]))
+def test_reader_parity_fuzz(tmp_path, data, header, newline):
+    width = header.count(",") + 1
+    row = st.lists(CELLS, min_size=width, max_size=width) | st.lists(CELLS, max_size=width + 1)
+    rows = data.draw(st.lists(row, max_size=5))
+    path = write(tmp_path, newline.join([header] + [",".join(r) for r in rows]) + newline)
+    assert_reader_parity(path)

@@ -4,7 +4,9 @@ Each command runs in a scratch directory with relative paths, so its
 standard output does not depend on where the test runs. A digest changes
 only when an artifact's bytes change: a model, a stats file, predictions,
 samples, quantiles, curves, or a command's printed report. A change meant
-to keep outputs byte-identical must leave every digest as it is.
+to keep outputs byte-identical must leave every digest as it is. The
+digests were recorded with Python 3.11 and numpy 2.4 on x86-64; another
+numpy build may round exp or log differently in the last bit.
 """
 
 import hashlib
