@@ -155,9 +155,7 @@ def simulate(ds: Dataset, test: Dataset, cfg: ActiveConfig) -> ActiveResult:
         if remaining.shape[0] < cfg.batch:
             result.truncated = True
         if cfg.strategy == "uncertainty":
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                ids = select_queries(model, pool, cfg.batch)
+            ids = select_queries(model, pool, cfg.batch)
         else:
             take = min(cfg.batch, remaining.shape[0])
             ids = [int(i) for i in rng.choice(remaining, take)]

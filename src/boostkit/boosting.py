@@ -437,10 +437,15 @@ def train(
 
 def margins(model: AdditiveModel, ds: Dataset) -> np.ndarray:
     """Normalized confidences y*f(x) / sum|alpha| for every example."""
+    return normalized_margins(model, ds.labels * model.score(ds.features))
+
+
+def normalized_margins(model: AdditiveModel, yf: np.ndarray) -> np.ndarray:
+    """Margins y*f(x) already scored by ``model``, divided by its sum|alpha|."""
     denom = sum(abs(a) for a, _ in model.terms)
     if denom <= 0.0:
         raise DataError("margins undefined: total |alpha| is zero")
-    return ds.labels * model.score(ds.features) / denom
+    return yf / denom
 
 
 @dataclass(frozen=True)

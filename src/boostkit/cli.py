@@ -21,7 +21,7 @@ from .boosting import (
     BoostConfig,
     RoundAccounting,
     bound_report,
-    margins,
+    normalized_margins,
     sign_pm1,
     stats_csv_rows,
     train,
@@ -31,7 +31,7 @@ from .boosting import update_distribution  # noqa: F401  the benchmark tracer pa
 from .config import load_config
 from .data import load_csv, load_features_csv
 from .errors import BoostkitError, DataError, InvariantError, UsageError
-from .losses import empirical_loss, prob_positive
+from .losses import check_finite_scores, loss_values, prob_positive
 from .model_io import (
     LoadedModel,
     atomic_write_text,
@@ -200,14 +200,16 @@ def cmd_eval(args: argparse.Namespace) -> int:
     model = loaded.model
 
     f = model.score(ds.features)
+    check_finite_scores(f)
+    yf = ds.labels * f
     error = float(np.mean(sign_pm1(f) != ds.labels))
     print(f"examples {ds.m}")
     print(f"error_rate {error!r}")
-    print(f"exponential_loss {empirical_loss(model, ds, 'exponential')!r}")
-    print(f"logistic_loss {empirical_loss(model, ds, 'logistic1')!r}")
+    print(f"exponential_loss {float(np.sum(loss_values(yf, 'exponential')))!r}")
+    print(f"logistic_loss {float(np.sum(loss_values(yf, 'logistic1')))!r}")
 
     try:
-        marg = margins(model, ds)
+        marg = normalized_margins(model, yf)
         counts, edges = np.histogram(np.clip(marg, -1.0, 1.0), bins=20, range=(-1.0, 1.0))
         print("margin_histogram bin_lo bin_hi count")
         for i in range(20):

@@ -187,6 +187,16 @@ def _parse_cell(text: str, line_no: int, column: str) -> float:
     return v
 
 
+def _csv_rows(fh, path: str):
+    """csv.reader over fh whose csv errors (a cell over the csv module's field
+    size limit, say) become DataError naming the path and line."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
 def _read_csv(path: str, pick) -> tuple[list[str], np.ndarray, dict[str, np.ndarray]]:
     """Feature names, feature matrix and other columns by name, in row order.
 
@@ -197,9 +207,8 @@ def _read_csv(path: str, pick) -> tuple[list[str], np.ndarray, dict[str, np.ndar
     decides what a cell may hold and names the line and column of any it rejects.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
         try:
-            header = [h.strip() for h in next(reader)]
+            header = [h.strip() for h in next(_csv_rows(fh, path))]
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
         index = {h: i for i, h in enumerate(header)}
@@ -227,7 +236,7 @@ def _read_csv(path: str, pick) -> tuple[list[str], np.ndarray, dict[str, np.ndar
     if values is None:
         rows = []
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
+            reader = _csv_rows(fh, path)
             next(reader)
             for line_no, row in enumerate(reader, start=2):
                 if not row:

@@ -101,11 +101,17 @@ def prob_positive(f_value, loss_kind: str):
     if link is None:
         raise DataError(f"unknown loss kind {loss_kind!r}")
     f = np.asarray(f_value, dtype=np.float64)
-    bad = np.argwhere(~np.isfinite(np.atleast_1d(f)))
+    check_finite_scores(f)
+    return sigmoid(link.scale * f)
+
+
+def check_finite_scores(f) -> None:
+    """Raise DataError naming the first row whose score is not finite."""
+    f = np.atleast_1d(f)
+    bad = np.argwhere(~np.isfinite(f))
     if bad.size:
         first = tuple(bad[0])
-        raise DataError(f"score must be finite; row {first[0]} has {float(np.atleast_1d(f)[first])!r}")
-    return sigmoid(link.scale * f)
+        raise DataError(f"score must be finite; row {first[0]} has {float(f[first])!r}")
 
 
 def empirical_loss(model, ds, loss_kind: str) -> float:

@@ -14,6 +14,27 @@ side). Ties between candidates are broken deterministically: lowest feature
 index, then lowest threshold, then the orientation with
 left_output <= right_output. Any parallel or reordered scan must reduce with
 the same rule so results match the sequential one.
+
+The search works on per-row label masses: each round splits the
+distribution once into ``w_pos = D`` on positive rows (0 elsewhere) and
+``w_neg = D - w_pos``. Features are sorted once per training run and
+scanned in blocks of consecutive features: groups of ``max(1, 2**14 // m)``
+features, each cut in order into blocks of at most 2**12 candidate
+thresholds (and at least one feature). Both bounds come from the input.
+For each block one gather ``w[orders]`` builds a ``(features, m)`` array,
+one ``cumsum`` along the rows gives every prefix mass, one precomputed flat
+index pulls out every candidate's left mass, and one ``argmin`` over the
+block's candidates (feature-major, thresholds ascending) picks its first
+minimum. Blocks are then reduced in feature order, and a later block
+replaces the best so far only if it is strictly smaller, so ties across a
+block boundary keep the lower feature. Each feature's prefix sums still add
+its sorted masses in the same order, so stumps and errors are bit for bit
+those of a scan one feature at a time. The bounds only keep a block's
+working set cache-sized: as one ``(d, m)`` array it spills out of cache. A
+block of several continuous features has about as many candidates as cells,
+and without the candidate bound its per-candidate temporaries are large
+enough that the C allocator hands them back to the OS and faults them in
+again on every round.
 """
 
 from __future__ import annotations
@@ -25,6 +46,11 @@ import numpy as np
 
 from .data import Dataset, check_distribution
 from .errors import DataError
+
+# bounds on one block's (features, m) cells and its candidate thresholds;
+# see StumpSearchSpace
+_BLOCK_CELLS = 2**14
+_BLOCK_CANDIDATES = 2**12
 
 
 @dataclass(frozen=True)
@@ -93,48 +119,94 @@ class StumpSearchConfig:
         return 1.0 / (2.0 * m) if self.smoothing is None else float(self.smoothing)
 
 
-class StumpSearchSpace:
-    """Per-feature sorted views shared across boosting rounds.
+class _FeatureBlock:
+    """Features ``start`` to ``start + b - 1``, sorted once, with their candidates.
 
-    For feature j, ``orders[j]`` sorts rows by value; ``left_counts[j][c]``
-    is how many sorted rows fall left of candidate threshold
-    ``thresholds[j][c]``. Candidate 0 is the below-minimum threshold.
+    ``orders[r]`` sorts the rows by feature ``start + r``; the constructor
+    also takes ``v``, the sorted values. The block's candidates are listed
+    feature by feature, each feature's by increasing threshold;
+    ``candidates[r]`` counts feature ``start + r``'s. For candidate c,
+    ``left[c]`` indexes the flattened ``(b, m + 1)`` cumulative masses (row r,
+    column = rows left of the threshold), so ``left[c] // (m + 1)`` is its row
+    and column 0 is the empty left side of the below-minimum threshold.
+    """
+
+    def __init__(self, start: int, orders: np.ndarray, v: np.ndarray):
+        b, m = orders.shape
+        self.start = start
+        self.orders = orders
+        gap = v[:, :-1] < v[:, 1:]
+        row, pos = np.nonzero(gap)
+        self.candidates = 1 + np.count_nonzero(gap, axis=1)
+        first = np.cumsum(self.candidates) - self.candidates
+        rest = np.ones(int(np.sum(self.candidates)), dtype=bool)
+        rest[first] = False
+        self.thresholds = np.empty(rest.shape[0])
+        self.thresholds[first] = v[:, 0] - 1.0
+        self.thresholds[rest] = (v[row, pos] + v[row, pos + 1]) / 2.0
+        self.left = np.empty(rest.shape[0], dtype=np.intp)
+        self.left[first] = np.arange(b) * (m + 1)
+        self.left[rest] = row * (m + 1) + pos + 1
+
+    def feature(self, c: int) -> int:
+        return self.start + int(self.left[c]) // (self.orders.shape[1] + 1)
+
+    def masses(self, w_pos: np.ndarray, w_neg: np.ndarray):
+        """Positive/negative label mass left and right of every candidate."""
+        b, m = self.orders.shape
+        sides = []
+        for w in (w_pos, w_neg):
+            cum = np.empty((b, m + 1))
+            cum[:, 0] = 0.0
+            np.cumsum(w[self.orders], axis=1, out=cum[:, 1:])
+            left = cum.ravel()[self.left]
+            total = np.repeat(cum[:, m], self.candidates)
+            # prefix sums of masses >= 0 never exceed the total; this clamp
+            # only acts on negative weights
+            sides.append((left, np.maximum(total - left, 0.0)))
+        (wp_left, wp_right), (wn_left, wn_right) = sides
+        return wp_left, wn_left, wp_right, wn_right
+
+
+class StumpSearchSpace:
+    """Sorted feature blocks shared across boosting rounds.
+
+    Features are taken in order, ``max(1, 2**14 // m)`` at a time, and each
+    such group is cut, in order, into blocks of at most 2**12 candidate
+    thresholds (and at least one feature), so a block's ``(features, m)``
+    arrays and its per-candidate arrays both stay cache-sized.
+    ``thresholds[j]`` lists feature j's candidate thresholds (views into the
+    blocks); candidate 0 is the below-minimum threshold.
     """
 
     def __init__(self, X: np.ndarray):
         X = np.asarray(X, dtype=np.float64)
-        self.m, self.d = X.shape
-        self.orders: list[np.ndarray] = []
-        self.thresholds: list[np.ndarray] = []
-        self.left_counts: list[np.ndarray] = []
-        for j in range(self.d):
-            order = np.argsort(X[:, j], kind="stable")
-            v = X[order, j]
-            bpos = np.nonzero(v[:-1] < v[1:])[0]
-            thr = np.concatenate(([v[0] - 1.0], (v[bpos] + v[bpos + 1]) / 2.0))
-            counts = np.concatenate(([0], bpos + 1))
-            self.orders.append(order)
-            self.thresholds.append(thr)
-            self.left_counts.append(counts)
+        m, d = X.shape
+        width = max(1, _BLOCK_CELLS // m)
+        blocks = []
+        for j in range(0, d, width):
+            Xt = X[:, j : j + width].T
+            orders = np.argsort(Xt, axis=1, kind="stable")
+            v = np.take_along_axis(Xt, orders, axis=1)
+            counts = 1 + np.count_nonzero(v[:, :-1] < v[:, 1:], axis=1)
+            lo = 0
+            while lo < counts.shape[0]:
+                fits = int(np.searchsorted(np.cumsum(counts[lo:]), _BLOCK_CANDIDATES, side="right"))
+                hi = lo + max(1, fits)
+                blocks.append(_FeatureBlock(j + lo, orders[lo:hi], v[lo:hi]))
+                lo = hi
+        self.blocks = tuple(blocks)
+        self.thresholds = [
+            t
+            for block in self.blocks
+            for t in np.split(block.thresholds, np.cumsum(block.candidates)[:-1])
+        ]
 
 
-def _side_masses(space: StumpSearchSpace, j: int, D: np.ndarray, y: np.ndarray):
-    """Weighted positive/negative label mass left of each candidate."""
-    order = space.orders[j]
-    d_sorted = D[order]
-    pos_sorted = np.where(y[order] > 0.0, d_sorted, 0.0)
-    neg_sorted = d_sorted - pos_sorted
-    cum_pos = np.concatenate(([0.0], np.cumsum(pos_sorted)))
-    cum_neg = np.concatenate(([0.0], np.cumsum(neg_sorted)))
-    counts = space.left_counts[j]
-    wp_left = cum_pos[counts]
-    wn_left = cum_neg[counts]
-    tot_pos = cum_pos[-1]
-    tot_neg = cum_neg[-1]
-    # cumsum round-off can leave tiny negatives after subtraction
-    wp_right = np.maximum(tot_pos - wp_left, 0.0)
-    wn_right = np.maximum(tot_neg - wn_left, 0.0)
-    return wp_left, wn_left, wp_right, wn_right
+def _row_masses(D: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row positive and negative label masses of a distribution."""
+    w_pos = np.where(y > 0.0, D, 0.0)
+    return w_pos, D - w_pos
 
 
 def _require_classification(ds: Dataset) -> None:
@@ -156,10 +228,11 @@ def best_binary_stump(ds: Dataset, D: np.ndarray) -> tuple[Stump, float]:
 
 
 def _best_binary(space: StumpSearchSpace, D: np.ndarray, y: np.ndarray) -> tuple[Stump, float]:
-    best: Stump | None = None
+    w_pos, w_neg = _row_masses(D, y)
+    best = None
     best_err = math.inf
-    for j in range(space.d):
-        wp_left, wn_left, wp_right, wn_right = _side_masses(space, j, D, y)
+    for block in space.blocks:
+        wp_left, wn_left, wp_right, wn_right = block.masses(w_pos, w_neg)
         # orientation a: left -1 / right +1 misclassifies left positives
         # and right negatives; orientation b is the flip.
         err_a = wp_left + wn_right
@@ -169,13 +242,11 @@ def _best_binary(space: StumpSearchSpace, D: np.ndarray, y: np.ndarray) -> tuple
         c = int(np.argmin(errs))
         if errs[c] < best_err:
             best_err = float(errs[c])
-            if use_a[c]:
-                left, right = -1.0, 1.0
-            else:
-                left, right = 1.0, -1.0
-            best = Stump(j, float(space.thresholds[j][c]), left, right)
+            best = (block, c, bool(use_a[c]))
     assert best is not None
-    return best, max(best_err, 0.0)
+    block, c, a = best
+    left, right = (-1.0, 1.0) if a else (1.0, -1.0)
+    return Stump(block.feature(c), float(block.thresholds[c]), left, right), max(best_err, 0.0)
 
 
 def confidence_output(w_pos: float, w_neg: float, smoothing: float) -> float:
@@ -216,10 +287,11 @@ def best_confidence_stump(
 def _best_confidence(
     space: StumpSearchSpace, D: np.ndarray, y: np.ndarray, smoothing: float
 ) -> Stump:
-    best: tuple[int, float, float, float, float, float] | None = None
+    w_pos, w_neg = _row_masses(D, y)
+    best = None
     best_z = math.inf
-    for j in range(space.d):
-        wp_left, wn_left, wp_right, wn_right = _side_masses(space, j, D, y)
+    for block in space.blocks:
+        wp_left, wn_left, wp_right, wn_right = block.masses(w_pos, w_neg)
         z = 2.0 * (
             np.sqrt((wp_left + smoothing) * (wn_left + smoothing))
             + np.sqrt((wp_right + smoothing) * (wn_right + smoothing))
@@ -228,18 +300,18 @@ def _best_confidence(
         if z[c] < best_z:
             best_z = float(z[c])
             best = (
-                j,
-                float(space.thresholds[j][c]),
+                block,
+                c,
                 float(wp_left[c]),
                 float(wn_left[c]),
                 float(wp_right[c]),
                 float(wn_right[c]),
             )
     assert best is not None
-    j, thr, wp_l, wn_l, wp_r, wn_r = best
+    block, c, wp_l, wn_l, wp_r, wn_r = best
     return Stump(
-        j,
-        thr,
+        block.feature(c),
+        float(block.thresholds[c]),
         confidence_output(wp_l, wn_l, smoothing),
         confidence_output(wp_r, wn_r, smoothing),
     )

@@ -3,8 +3,9 @@
 Each function here is the plain form of a library routine that has a
 faster implementation: a masked two-branch sigmoid, line searches that
 evaluate the first and second derivative in separate passes, per-term
-scoring of one row, per-row, per-draw density queries, and the two CSV
-readers that parse every cell with ``float``.
+scoring of one row, per-row, per-draw density queries, the two CSV
+readers that parse every cell with ``float``, and the stump search that
+loops over features in Python, one cumsum per feature.
 """
 
 import csv
@@ -15,6 +16,7 @@ import numpy as np
 from boostkit.data import PRIOR_COLUMN, WEIGHT_COLUMN, Dataset
 from boostkit.errors import DataError
 from boostkit.losses import prob_positive
+from boostkit.stumps import Stump, confidence_output
 
 
 def sigmoid(x):
@@ -237,3 +239,94 @@ def load_features_csv(path: str, label_column: str = "label") -> np.ndarray:
     if not feats:
         raise DataError(f"{path}: no data rows")
     return np.asarray(feats, dtype=np.float64)
+
+
+class StumpSearchSpace:
+    """Per-feature sorted views: one argsort, threshold list and count list per feature."""
+
+    def __init__(self, X):
+        X = np.asarray(X, dtype=np.float64)
+        self.m, self.d = X.shape
+        self.orders = []
+        self.thresholds = []
+        self.left_counts = []
+        for j in range(self.d):
+            order = np.argsort(X[:, j], kind="stable")
+            v = X[order, j]
+            bpos = np.nonzero(v[:-1] < v[1:])[0]
+            thr = np.concatenate(([v[0] - 1.0], (v[bpos] + v[bpos + 1]) / 2.0))
+            counts = np.concatenate(([0], bpos + 1))
+            self.orders.append(order)
+            self.thresholds.append(thr)
+            self.left_counts.append(counts)
+
+
+def _side_masses(space, j, D, y):
+    """Weighted positive/negative label mass left of each candidate, one feature."""
+    order = space.orders[j]
+    d_sorted = D[order]
+    pos_sorted = np.where(y[order] > 0.0, d_sorted, 0.0)
+    neg_sorted = d_sorted - pos_sorted
+    cum_pos = np.concatenate(([0.0], np.cumsum(pos_sorted)))
+    cum_neg = np.concatenate(([0.0], np.cumsum(neg_sorted)))
+    counts = space.left_counts[j]
+    wp_left = cum_pos[counts]
+    wn_left = cum_neg[counts]
+    tot_pos = cum_pos[-1]
+    tot_neg = cum_neg[-1]
+    wp_right = np.maximum(tot_pos - wp_left, 0.0)
+    wn_right = np.maximum(tot_neg - wn_left, 0.0)
+    return wp_left, wn_left, wp_right, wn_right
+
+
+def best_binary(space, D, y):
+    """Minimum weighted-error binary stump by a Python loop over features."""
+    best = None
+    best_err = math.inf
+    for j in range(space.d):
+        wp_left, wn_left, wp_right, wn_right = _side_masses(space, j, D, y)
+        err_a = wp_left + wn_right
+        err_b = wn_left + wp_right
+        use_a = err_a <= err_b
+        errs = np.where(use_a, err_a, err_b)
+        c = int(np.argmin(errs))
+        if errs[c] < best_err:
+            best_err = float(errs[c])
+            if use_a[c]:
+                left, right = -1.0, 1.0
+            else:
+                left, right = 1.0, -1.0
+            best = Stump(j, float(space.thresholds[j][c]), left, right)
+    assert best is not None
+    return best, max(best_err, 0.0)
+
+
+def best_confidence(space, D, y, smoothing):
+    """Minimum-surrogate confidence-rated stump by a Python loop over features."""
+    best = None
+    best_z = math.inf
+    for j in range(space.d):
+        wp_left, wn_left, wp_right, wn_right = _side_masses(space, j, D, y)
+        z = 2.0 * (
+            np.sqrt((wp_left + smoothing) * (wn_left + smoothing))
+            + np.sqrt((wp_right + smoothing) * (wn_right + smoothing))
+        )
+        c = int(np.argmin(z))
+        if z[c] < best_z:
+            best_z = float(z[c])
+            best = (
+                j,
+                float(space.thresholds[j][c]),
+                float(wp_left[c]),
+                float(wn_left[c]),
+                float(wp_right[c]),
+                float(wn_right[c]),
+            )
+    assert best is not None
+    j, thr, wp_l, wn_l, wp_r, wn_r = best
+    return Stump(
+        j,
+        thr,
+        confidence_output(wp_l, wn_l, smoothing),
+        confidence_output(wp_r, wn_r, smoothing),
+    )

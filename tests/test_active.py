@@ -151,6 +151,16 @@ class TestSimulate:
         assert result.truncated
         assert result.points[-1].labels_used == 45
 
+    def test_uncertainty_exhaustion_warning_is_shown(self, np_rng):
+        # 45 rows: 30 initial, one batch of 10, then only 5 remain
+        ds, test = self.small_task(np_rng, m=45)
+        cfg = ActiveConfig(boost=boost_cfg(3), init_batch=30, batch=10,
+                           iterations=5, strategy="uncertainty", seed=1)
+        with pytest.warns(UserWarning, match="^only 5 unlabeled examples remain; returning all$"):
+            result = simulate(ds, test, cfg)
+        assert result.truncated
+        assert result.points[-1].labels_used == 45
+
     def test_no_label_leakage(self, np_rng, monkeypatch):
         # every training call must receive exactly the acquired rows
         ds, test = self.small_task(np_rng)

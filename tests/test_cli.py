@@ -253,6 +253,48 @@ class TestMalformedModelFiles:
 
 
 class TestEvalCommand:
+    def test_nonfinite_score_is_data_error(self, tmp_path, capsys):
+        model = tmp_path / "huge.txt"
+        model.write_text(
+            "boostkit-model 1\nmode classify\nseed 0\nconfig c\nfeatures 1\n"
+            "loss exponential\nlink sigmoid2f\nalpha-cap 35.0\nterms 1\n"
+            "term 1 1e308 0 1.5 1.0 1e308\nend\n"
+        )
+        data = write_dataset(tmp_path, dataset([[1.0], [2.0], [3.0]], [1.0, -1.0, 1.0]), "d.csv")
+        with np.errstate(over="ignore"):
+            code = main(["eval", "--model", str(model), "--data", data])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "score must be finite; row 1 has inf" in captured.err
+
+    def test_scores_the_file_once(self, tmp_path, random_csv, capsys, monkeypatch):
+        from boostkit.boosting import AdditiveModel
+
+        model_path = str(tmp_path / "model.txt")
+        assert main(["train", "--data", random_csv, "--rounds", "4", "--out", model_path]) == 0
+        calls = []
+        real_score = AdditiveModel.score
+
+        def spy(self, X):
+            calls.append(X.shape[0])
+            return real_score(self, X)
+
+        monkeypatch.setattr(AdditiveModel, "score", spy)
+        assert main(["eval", "--model", model_path, "--data", random_csv]) == 0
+        assert calls == [40]
+
+    def test_long_cell_is_data_error(self, tmp_path, separable_csv, capsys):
+        model = str(tmp_path / "model.txt")
+        assert main(["train", "--data", separable_csv, "--rounds", "2", "--out", model]) == 0
+        data = tmp_path / "long.csv"  # a cell over the csv module's 131,072-character limit
+        data.write_text("a,b,label\n1,2,1\n" + "9" * 140_000 + "x,2,-1\n", encoding="utf-8")
+        for argv in (["predict", "--model", model, "--data", str(data), "--out", str(tmp_path / "p.csv")],
+                     ["eval", "--model", model, "--data", str(data)]):
+            capsys.readouterr()
+            assert main(argv) == 2
+            assert f"{data}: line 3: field larger than field limit" in capsys.readouterr().err
+
     def test_perfect_model_report(self, tmp_path, separable_csv, capsys):
         model_path = str(tmp_path / "model.txt")
         assert main(["train", "--data", separable_csv, "--rounds", "3",

@@ -101,6 +101,15 @@ class TestLoadCsv:
                 with pytest.raises(DataError, match=f"^{path}: duplicate column name '{name}'$"):
                     loader(path)
 
+    def test_cell_over_csv_field_limit_is_data_error(self, tmp_path):
+        # the csv module refuses fields over 131,072 characters
+        long = "x" * 140_000
+        for text, line in (("a,label\n1,1\n" + long + ",-1\n", 3), ("a," + long + "\n1,1\n", 1)):
+            path = write(tmp_path, text)
+            for loader in (load_csv, load_features_csv):
+                with pytest.raises(DataError, match=f"^{path}: line {line}: field larger than field limit"):
+                    loader(path)
+
 
 class TestDatasetInvariants:
     def test_nan_features_rejected(self):

@@ -106,3 +106,53 @@ def test_cli_artifacts_byte_identical(tmp_path, capsys, monkeypatch):
     digests = run_golden(tmp_path, capsys)
     assert {k: v for k, v in digests.items() if v != GOLDEN[k]} == {}
 
+
+# Stump search takes features max(1, 2**14 // m) at a time and cuts each group
+# into blocks of at most 2**12 candidate thresholds. At m=6000 and d=7 the
+# groups are {0,1}, {2,3}, {4,5}, {6}; feature 3 is continuous (6000
+# candidates), so the blocks are {0,1}, {2}, {3}, {4,5} and {6}. Feature 2
+# copies feature 1 and feature 6 copies feature 5, so exact ties straddle
+# block boundaries; the models pick features 1, 3, 4 and 5. These digests
+# were recorded with the per-feature search the blocks replaced.
+BLOCKS_GOLDEN = {
+    "blk_exp.txt": "48f7f41351fcae283646d6a2a1393947dbaa7423fb6ee9beb5550fdeac4c0757",
+    "blk_exp.txt.stats.csv": "907f6f92e1254137789040674b7eb3b1c6dd118d16c5052d5d6d3627f02a5e68",
+    "blk_log.txt": "32b15d0c4172c076278b92d56db588d92e32129a42947a933b1a2b1cb5b1a057",
+    "blk_log.txt.stats.csv": "6b8a4b18b1738addc18edd827152b8924dd227e5d5c61477dca70354b70036bb",
+    "blk_conf.txt": "6632be29629f60b70af304af91939d236e78ea9836581aa97e6dad5ecba3825e",
+    "blk_conf.txt.stats.csv": "1f25364e85087d3e4e2fc54fa97cd829c2f0bd73a8b0ed72fa9d01591d3648a4",
+    "stdout": "56d565d988248471f3bedd9b195eb667760b2bef74a8434eb9253f44fab62a96",
+}
+
+BLOCKS_COMMANDS = (
+    ["train", "--data", "blocks.csv", "--rounds", "10", "--loss", "exp",
+     "--stumps", "binary", "--out", "blk_exp.txt"],
+    ["train", "--data", "blocks.csv", "--rounds", "6", "--loss", "logistic",
+     "--stumps", "confidence", "--out", "blk_log.txt"],
+    ["train", "--data", "blocks.csv", "--rounds", "6", "--loss", "exp",
+     "--stumps", "confidence", "--out", "blk_conf.txt"],
+)
+
+
+def test_multi_block_search_byte_identical(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    rng = np.random.default_rng(11)
+    m = 6000
+    X = np.round(rng.uniform(-1.0, 1.0, size=(m, 7)) * 8.0) / 8.0
+    X[:, 2] = X[:, 1]
+    X[:, 3] = rng.normal(size=m)
+    X[:, 4] = np.round(X[:, 4] * 2.0)
+    X[:, 6] = X[:, 5]
+    score = X[:, 1] + 0.6 * X[:, 5] + 0.3 * X[:, 4] + 0.2 * X[:, 3] + rng.normal(scale=0.5, size=m)
+    y = np.where(score > 0.0, 1.0, -1.0)
+    _write(tmp_path / "blocks.csv", ("a", "b", "c", "d", "e", "f", "g", "label"), (*X.T, y))
+    stdout = []
+    for argv in BLOCKS_COMMANDS:
+        code = main(argv)
+        out = capsys.readouterr()
+        assert code == 0, (argv, out.err)
+        stdout.append(out.out)
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in BLOCKS_GOLDEN if name != "stdout"}
+    digests["stdout"] = hashlib.sha256("".join(stdout).encode("utf-8")).hexdigest()
+    assert {k: v for k, v in digests.items() if v != BLOCKS_GOLDEN[k]} == {}

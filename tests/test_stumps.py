@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,15 +7,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boostkit.data import uniform_distribution
+from boostkit import stumps
 from boostkit.errors import DataError
 from boostkit.stumps import (
     Stump,
     StumpSearchConfig,
+    StumpSearchSpace,
+    _best_binary,
+    _best_confidence,
     best_binary_stump,
     best_confidence_stump,
     confidence_output,
 )
 
+import oracles
 from conftest import dataset
 
 HALF_LN3 = 0.5493061443340549
@@ -241,3 +247,145 @@ def test_binary_error_never_beats_oracle(data):
     _, eps = best_binary_stump(ds, D)
     assert eps <= brute_force_best_error(X, y, D) + 1e-9
     assert eps <= 0.5 + 1e-12
+
+
+def _bits(stump, err=None):
+    out = (stump.feature_index, *(v.hex() for v in (stump.threshold, stump.left_output, stump.right_output)))
+    return out if err is None else (*out, err.hex())
+
+
+def _outcome(search, *args):
+    """The stump's exact bits (and error), or the text of the DataError raised."""
+    try:
+        result = search(*args)
+    except DataError as exc:
+        return ("error", str(exc))
+    return _bits(*result) if isinstance(result, tuple) else _bits(result)
+
+
+def assert_search_matches_oracle(X, y, D, smoothing):
+    """Block search and the per-feature loop agree bit for bit, errors included."""
+    space, ref = StumpSearchSpace(X), oracles.StumpSearchSpace(X)
+    assert [len(t) for t in space.thresholds] == [len(t) for t in ref.thresholds]
+    assert _outcome(_best_binary, space, D, y) == _outcome(oracles.best_binary, ref, D, y)
+    assert _outcome(_best_confidence, space, D, y, smoothing) == _outcome(
+        oracles.best_confidence, ref, D, y, smoothing
+    )
+
+
+def _features(rng, m, levels):
+    """One column per entry of levels: that many distinct values, or continuous."""
+    cols = [
+        rng.normal(size=m) if k is None else rng.integers(0, k, size=m) * 0.25 - 1.0
+        for k in levels
+    ]
+    return np.column_stack(cols)
+
+
+def _distribution(rng, m, kind):
+    if kind == "uniform":
+        return np.full(m, 1.0 / m)
+    if kind == "spread":  # boosting-like weights spanning many orders of magnitude
+        D = np.exp(rng.uniform(-30.0, 0.0, size=m))
+    else:
+        D = rng.uniform(0.0, 1.0, size=m)
+        if kind == "sparse":
+            D[rng.uniform(size=m) < 0.5] = 0.0
+            D[rng.integers(0, m)] = 1.0
+    return D / D.sum()
+
+
+class TestBlockSearchOracle:
+    """The block search against the per-feature loop it replaced (tests/oracles.py)."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        m=st.integers(1, 3000),
+        levels=st.lists(st.sampled_from([1, 2, 3, 10, None]), min_size=1, max_size=12),
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["uniform", "random", "sparse", "spread"]),
+        pure=st.booleans(),
+        smoothing=st.sampled_from([0.0, 1e-12, None, 0.3]),
+    )
+    def test_drawn_data(self, m, levels, seed, kind, pure, smoothing):
+        rng = np.random.default_rng(seed)
+        X = _features(rng, m, levels)
+        y = np.ones(m) if pure else rng.choice([-1.0, 1.0], size=m)
+        s = 1.0 / (2.0 * m) if smoothing is None else smoothing
+        assert_search_matches_oracle(X, y, _distribution(rng, m, kind), s)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_drawn_values_with_small_blocks(self, data):
+        # tiny budgets split a handful of features into many blocks
+        m = data.draw(st.integers(1, 12))
+        d = data.draw(st.integers(1, 6))
+        grid = st.sampled_from([-1.0, 0.0, 0.5, 2.0]) | st.floats(-10, 10)
+        X = np.array(data.draw(st.lists(st.lists(grid, min_size=d, max_size=d), min_size=m, max_size=m)))
+        y = np.array(data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=m, max_size=m)))
+        raw = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=m, max_size=m)))
+        D = raw / raw.sum() if raw.sum() > 0.0 else np.full(m, 1.0 / m)
+        cells = data.draw(st.integers(1, 3 * m))
+        candidates = data.draw(st.integers(1, 3 * m))
+        with mock.patch.multiple(stumps, _BLOCK_CELLS=cells, _BLOCK_CANDIDATES=candidates):
+            assert_search_matches_oracle(X, y, D, data.draw(st.sampled_from([0.0, 0.01])))
+
+    def test_blocks_split_by_cells_and_candidates(self, np_rng):
+        # m=3000: groups of 2**14 // 3000 = 5 features; the second group holds
+        # two continuous features (3000 candidates each), so the 2**12
+        # candidate bound cuts it in two; the last group is partial.
+        m = 3000
+        X = _features(np_rng, m, [10, 2, 3, 10, 2, 1, None, None, 3, 2, 10, 2])
+        space = StumpSearchSpace(X)
+        assert [(b.start, len(b.candidates)) for b in space.blocks] == [(0, 5), (5, 2), (7, 3), (10, 2)]
+        y = np.where(X[:, 11] + 0.3 * X[:, 6] + np_rng.normal(size=m) > 0.0, 1.0, -1.0)
+        for kind in ("uniform", "random", "spread"):
+            assert_search_matches_oracle(X, y, _distribution(np_rng, m, kind), 1.0 / (2.0 * m))
+
+    def test_constant_features(self, np_rng):
+        m = 6000  # blocks of 2 features: the third constant opens a second block
+        X = np.column_stack([np.full(m, 3.0), np.full(m, -1.5), np.full(m, 3.0)])
+        y = np_rng.choice([-1.0, 1.0], size=m)
+        D = _distribution(np_rng, m, "random")
+        space = StumpSearchSpace(X)
+        assert [len(t) for t in space.thresholds] == [1, 1, 1]
+        assert len(space.blocks) == 2
+        assert_search_matches_oracle(X, y, D, 0.01)
+        assert _best_binary(space, D, y)[0].feature_index == 0
+        assert _best_confidence(space, D, y, 0.01).feature_index == 0
+
+    def test_tie_across_block_boundary_keeps_lower_feature(self, np_rng):
+        m = 3000  # blocks of 5 features with 12 levels: 4 | 5 straddle the first boundary
+        X = _features(np_rng, m, [12] * 12)
+        X[:, 5] = X[:, 4]
+        X[:, 10] = X[:, 4]
+        y = np.where(X[:, 4] > 0.1, 1.0, -1.0)
+        y[np_rng.integers(0, m, size=300)] *= -1.0
+        space = StumpSearchSpace(X)
+        assert [b.start for b in space.blocks] == [0, 5, 10]
+        for kind in ("uniform", "random", "spread"):
+            D = _distribution(np_rng, m, kind)
+            assert _best_binary(space, D, y)[0].feature_index == 4
+            assert _best_confidence(space, D, y, 0.0).feature_index == 4
+            assert_search_matches_oracle(X, y, D, 0.0)
+
+    def test_zero_smoothing_pure_side_raises_the_same_error(self, np_rng):
+        m = 3000  # continuous features get a block each; feature 4 separates the labels, 5 copies it
+        X = np_rng.normal(size=(m, 7))
+        X[:, 5] = X[:, 4]
+        y = np.where(X[:, 4] > 0.5, 1.0, -1.0)
+        D = _distribution(np_rng, m, "random")
+        with pytest.raises(DataError, match="pure side with smoothing=0"):
+            _best_confidence(StumpSearchSpace(X), D, y, 0.0)
+        assert_search_matches_oracle(X, y, D, 0.0)
+
+    def test_signed_weights_clamp_right_masses(self, np_rng):
+        # Prefix sums of nonnegative masses never decrease, so the clamp on
+        # right-side masses only acts when some weights are negative.
+        for _ in range(20):
+            m = int(np_rng.integers(2, 40))
+            X = np_rng.normal(size=(m, 3))
+            y = np_rng.choice([-1.0, 1.0], size=m)
+            D = np_rng.uniform(-0.5, 1.0, size=m)
+            space, ref = StumpSearchSpace(X), oracles.StumpSearchSpace(X)
+            assert _bits(*_best_binary(space, D, y)) == _bits(*oracles.best_binary(ref, D, y))
