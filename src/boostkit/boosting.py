@@ -29,6 +29,7 @@ from .stumps import (
     StumpSearchSpace,
     _best_binary,
     _best_confidence,
+    _row_masses,
 )
 
 ALPHA_CAP = 35.0  # |alpha| * max|h| <= 35 keeps exp() inside double range
@@ -244,22 +245,30 @@ def alpha_logistic_line_search(
     labels: np.ndarray,
     cap: float = ALPHA_CAP,
     tol: float = 1e-10,
+    flip_weights: np.ndarray | None = None,
 ) -> float:
     """Minimize sum_i w_i ln(1 + exp(-y_i (f_i + alpha h_i))) over alpha.
 
-    Both derivatives come from one sigmoid s = sigmoid(-(yf + a yh)) per
-    Newton step: L' = sum -w yh s and L'' = sum w yh yh s (1 - s).
+    ``flip_weights`` b, when given, adds sum_i b_i ln(1 + exp(y_i (f_i +
+    alpha h_i))): each row's mass on the other label. Both derivatives come
+    from one sigmoid s = sigmoid(-(yf + a yh)) per Newton step:
+    L' = sum (b yh (1 - s) - w yh s) = sum b yh - sum (w + b) yh s and
+    L'' = sum (w + b) yh yh s (1 - s).
     """
     w = np.asarray(base_weights, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
     yh = y * np.asarray(h_outputs, dtype=np.float64)
     yf = y * np.asarray(f_prev, dtype=np.float64)
+    if flip_weights is not None:
+        b = np.asarray(flip_weights, dtype=np.float64)
+        w = w + b
     active = (w > 0.0) & (yh != 0.0)
     if not np.any(active):
         raise DataError("uninformative base classifier: h is zero on the support")
     a_cap = cap / float(np.max(np.abs(yh[active])))
 
     wa, yha, yfa = w[active], yh[active], yf[active]
+    d1_flip = 0.0 if flip_weights is None else float(np.sum(b[active] * yha))
     d1w = -wa * yha
     d2w = wa * yha * yha
 
@@ -268,7 +277,7 @@ def alpha_logistic_line_search(
         t += yfa
         np.negative(t, out=t)
         s = sigmoid(t)
-        d1 = float(np.sum(d1w * s))
+        d1 = d1_flip + float(np.sum(d1w * s))
         np.multiply(d2w, s, out=t)
         np.subtract(1.0, s, out=s)
         t *= s
@@ -329,13 +338,25 @@ class RoundAccounting:
     Exponential loss carries D forward by the multiplicative update, whose
     normalizer is z; logistic loss recomputes D from f, and z is the ratio of
     successive mean exponential surrogates. Base weights scale D and the loss.
+
+    ``flip`` (logistic loss only) gives each row a second base mass, on the
+    other label -y. D then has 2m entries, the own-label masses followed by
+    the flipped-label ones, and epsilon, z and the loss count both: the
+    result is that of training on a set holding each row once per label.
     """
 
-    def __init__(self, base: np.ndarray, labels: np.ndarray, loss_kind: str):
+    def __init__(
+        self,
+        base: np.ndarray,
+        labels: np.ndarray,
+        loss_kind: str,
+        flip: np.ndarray | None = None,
+    ):
         self.base = base
+        self.flip = flip
         self.y = labels
         self.loss_kind = loss_kind
-        self.D = normalized(base)
+        self.D = normalized(base if flip is None else np.concatenate((base, flip)))
         self.f = np.zeros(labels.shape[0])
         self.prod_z = 1.0
         self._log_surrogate = 0.0
@@ -343,12 +364,40 @@ class RoundAccounting:
     def distribution(self) -> np.ndarray:
         """D for the coming round."""
         if self.loss_kind == "logistic":
-            self.D = normalized(self.base * sigmoid(-(self.y * self.f)))
+            yf = self.y * self.f
+            if self.flip is None:
+                self.D = normalized(self.base * sigmoid(-yf))
+            else:
+                self.D = normalized(
+                    np.concatenate((self.base * sigmoid(-yf), self.flip * sigmoid(yf)))
+                )
         return self.D
 
+    def masses(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-row masses (w_pos, w_neg) of D on labels +1 and -1."""
+        if self.flip is None:
+            return _row_masses(self.D, self.y)
+        m = self.y.shape[0]
+        own, other = self.D[:m], self.D[m:]
+        pos = self.y > 0.0
+        return np.where(pos, own, other), np.where(pos, other, own)
+
     def error(self, h: np.ndarray) -> float:
-        """Weighted error epsilon of outputs h: the mass of D where sign(h) != y."""
-        return float(np.sum(self.D[sign_pm1(h) != self.y]))
+        """Weighted error epsilon of outputs h: the mass of D on labels other than sign(h)."""
+        wrong = sign_pm1(h) != self.y
+        if self.flip is None:
+            return float(np.sum(self.D[wrong]))
+        m = self.y.shape[0]
+        return float(np.sum(np.where(wrong, self.D[:m], self.D[m:])))
+
+    def _logistic_terms(self) -> tuple[np.ndarray, np.ndarray]:
+        """Base masses and exponents -label*f; with flip, only masses > 0."""
+        yf = self.y * self.f
+        if self.flip is None:
+            return self.base, -yf
+        w = np.concatenate((self.base, self.flip))
+        keep = w > 0.0
+        return w[keep], np.concatenate((-yf, yf))[keep]
 
     def add(self, t: int, h: np.ndarray, alpha: float, epsilon: float) -> RoundStats:
         """Add alpha * h to f and return the stats of round t; epsilon is error(h)."""
@@ -357,7 +406,7 @@ class RoundAccounting:
             self.f = self.f + alpha * h
         else:
             self.f = self.f + alpha * h
-            log_surrogate = _log_weighted_exp_mean(self.base, -(self.y * self.f))
+            log_surrogate = _log_weighted_exp_mean(*self._logistic_terms())
             z = math.exp(log_surrogate - self._log_surrogate)
             self._log_surrogate = log_surrogate
         self.prod_z *= z
@@ -368,7 +417,8 @@ class RoundAccounting:
         """Base-weighted training loss of f."""
         if self.loss_kind == "exponential":
             return float(np.sum(self.base * np.exp(-(self.y * self.f))))
-        return float(np.sum(self.base * log1pexp(-(self.y * self.f))))
+        w, e = self._logistic_terms()
+        return float(np.sum(w * log1pexp(e)))
 
 
 def train(
@@ -376,6 +426,7 @@ def train(
     cfg: BoostConfig,
     eval_ds: Dataset | None = None,
     _space: StumpSearchSpace | None = None,
+    _flip: np.ndarray | None = None,
 ) -> tuple[AdditiveModel, list[RoundStats]]:
     """Run the full boosting loop and return the model plus round stats.
 
@@ -383,9 +434,15 @@ def train(
     multiplicative update; logistic loss recomputes it from the current
     score every round. Dataset.weights, when present, act as base weights
     in both schemes and in the logistic line search.
+
+    ``_flip`` (logistic loss only) gives each row a second base mass, on the
+    label -y; the dataset's weights are then the masses on each row's own
+    label. train_error still counts each row once, on its own label.
     """
     if not ds.is_classification:
         raise DataError("training requires classification labels (-1/+1)")
+    if _flip is not None and cfg.loss_kind != "logistic":
+        raise UsageError("masses on flipped labels require logistic loss")
     if eval_ds is not None and eval_ds.d != ds.d:
         raise DataError(f"eval data has {eval_ds.d} features, expected {ds.d}")
     strategy = cfg.resolved_alpha_strategy()
@@ -394,18 +451,19 @@ def train(
     space = _space if _space is not None else StumpSearchSpace(X)
     smoothing = cfg.stumps.resolve_smoothing(m)
 
-    rounds = RoundAccounting(base, y, cfg.loss_kind)
+    rounds = RoundAccounting(base, y, cfg.loss_kind, _flip)
     f_eval = np.zeros(eval_ds.m) if eval_ds is not None else None
     terms: list[tuple[float, Stump]] = []
     stats: list[RoundStats] = []
 
     for t in range(1, cfg.rounds + 1):
         D = rounds.distribution()
+        w_pos, w_neg = rounds.masses()
         try:
             if cfg.stumps.mode == "binary":
-                stump, _ = _best_binary(space, D, y)
+                stump, _ = _best_binary(space, w_pos, w_neg)
             else:
-                stump = _best_confidence(space, D, y, smoothing)
+                stump = _best_confidence(space, w_pos, w_neg, smoothing)
             h = stump.evaluate_matrix(X)
             epsilon = rounds.error(h)
 
@@ -419,7 +477,9 @@ def train(
                 if cfg.loss_kind == "exponential":
                     alpha = alpha_line_search(D, h, y)
                 else:
-                    alpha = alpha_logistic_line_search(base, rounds.f, h, y)
+                    alpha = alpha_logistic_line_search(
+                        base, rounds.f, h, y, flip_weights=_flip
+                    )
                 clamped = abs(alpha) * float(np.max(np.abs(h))) >= ALPHA_CAP - 1e-9
         except BoostkitError as exc:
             raise type(exc)(f"round {t}: {exc}") from exc

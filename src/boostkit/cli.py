@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import sys
 
 import numpy as np
@@ -117,6 +118,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise UsageError("--eta requires --prior-col or --prior-rules")
     if eta is None and (prior_col is not None or prior_rules is not None):
         raise UsageError("--prior-col/--prior-rules require --eta (it has no default)")
+    if eta is not None and not 0.0 <= eta < math.inf:
+        raise UsageError(f"--eta must be finite and nonnegative, got {eta!r}")
 
     default_loss = "logistic" if eta is not None else "exp"
     cfg = _boost_config(opt, default_loss=default_loss, default_stumps="binary")

@@ -142,7 +142,10 @@ def normalized(w: np.ndarray) -> np.ndarray:
     w = np.asarray(w, dtype=np.float64)
     if np.any(w < 0.0) or not np.all(np.isfinite(w)):
         raise DataError("weights must be finite and nonnegative")
-    total = w.sum()
+    with np.errstate(over="ignore"):  # an overflowing sum is the error raised below
+        total = w.sum()
+    if not np.isfinite(total):
+        raise DataError(f"weights must have a finite sum, got {float(total)!r}")
     if total <= 0.0:
         raise DataError("weights must not all be zero")
     return w / total
@@ -175,15 +178,17 @@ def split(ds: Dataset, test_fraction: float, rng: RngState) -> tuple[Dataset, Da
     return ds.take(train_idx), ds.take(test_idx)
 
 
-def _parse_cell(text: str, line_no: int, column: str) -> float:
+def _parse_cell(text: str, path: str, line_no: int, column: str) -> float:
     try:
         v = float(text)
     except ValueError:
         raise DataError(
-            f"line {line_no}, column {column!r}: cannot parse {text!r} as a number"
+            f"{path}: line {line_no}, column {column!r}: cannot parse {text!r} as a number"
         ) from None
     if not math.isfinite(v):
-        raise DataError(f"line {line_no}, column {column!r}: value {text!r} is not finite")
+        raise DataError(
+            f"{path}: line {line_no}, column {column!r}: value {text!r} is not finite"
+        )
     return v
 
 
@@ -245,7 +250,7 @@ def _read_csv(path: str, pick) -> tuple[list[str], np.ndarray, dict[str, np.ndar
                     raise DataError(f"{path}: line {line_no}: expected {len(header)} cells, got {len(row)}")
                 cells = []
                 for col, name in zip(cols, used):
-                    cells.append(_parse_cell(row[col], line_no, name))
+                    cells.append(_parse_cell(row[col], path, line_no, name))
                     if name == prior and not 0.0 <= cells[-1] <= 1.0:
                         raise DataError(f"{path}: line {line_no}: prior out of [0,1]: {cells[-1]!r}")
                 rows.append(cells)

@@ -2,20 +2,24 @@
 
 The objective adds, to the logistic loss of the data, an eta-weighted binary
 relative entropy between the rule's probability p(x) and the model's
-sigmoid(f(x)). Training reduces this to plain weighted logistic boosting on
-an augmented example set: each original example contributes itself with its
-base weight plus a (+1, weight eta*p) and a (-1, weight eta*(1-p)) copy.
-The weighted logistic loss of the augmented set equals the objective up to
-an additive constant (the entropy of p), so the same booster minimizes both.
+sigmoid(f(x)). It equals, up to an additive constant (the entropy of p), the
+weighted logistic loss of an augmented example set: each original example
+contributes itself with its base weight plus a (+1, weight eta*p) and a
+(-1, weight eta*(1-p)) copy (:func:`augment_with_prior`). The copies share
+the example's features and score, so training folds them back into it:
+each of the m rows carries a mass on its own label (base weight plus the
+copy with the same label) and a mass on the other label, and the booster
+runs logistic boosting over these soft labels.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .boosting import AdditiveModel, BoostConfig, RoundStats, train
+from .boosting import AdditiveModel, BoostConfig, RoundStats, sign_pm1, train
 from .data import Dataset
 from .errors import DataError, UsageError
 from .losses import log1pexp, sigmoid
@@ -34,8 +38,8 @@ class PriorConfig:
     epsilon_clip: float = 1e-6
 
     def __post_init__(self):
-        if not self.eta >= 0.0:
-            raise UsageError("eta must be nonnegative")
+        if not 0.0 <= self.eta < math.inf:
+            raise UsageError(f"eta must be finite and nonnegative, got {self.eta!r}")
         if not 0.0 < self.epsilon_clip < 0.5:
             raise UsageError("epsilon_clip must be in (0, 0.5)")
 
@@ -188,6 +192,23 @@ def augment_with_prior(ds: Dataset, prior, eta: float) -> Dataset:
     )
 
 
+def _fold(ds: Dataset, p: np.ndarray, eta: float):
+    """Own-label and flipped-label masses of each row, as the augmented set has them.
+
+    Also returns, per row, how many augmented rows carry each mass (copies
+    of weight zero are dropped), so error rates over the augmented rows can
+    be counted exactly.
+    """
+    base = ds.weights if ds.weights is not None else np.ones(ds.m)
+    to_pos, to_neg = eta * p, eta * (1.0 - p)
+    pos = ds.labels > 0.0
+    own = base + np.where(pos, to_pos, to_neg)
+    flip = np.where(pos, to_neg, to_pos)
+    own_rows = (base > 0.0).astype(np.int64) + np.where(pos, to_pos > 0.0, to_neg > 0.0)
+    flip_rows = np.where(pos, to_neg > 0.0, to_pos > 0.0).astype(np.int64)
+    return own, flip, own_rows, flip_rows
+
+
 def train_with_prior(
     ds: Dataset,
     prior,
@@ -195,7 +216,15 @@ def train_with_prior(
     boost_cfg: BoostConfig,
     eval_ds: Dataset | None = None,
 ) -> tuple[AdditiveModel, list[RoundStats]]:
-    """Logistic boosting on the augmented set; stats gain prior_loss.
+    """Logistic boosting of the m rows with their folded prior masses.
+
+    Each row keeps its label y with mass base + eta*p (y = +1) or
+    base + eta*(1-p) (y = -1) and gets mass eta*(1-p), resp. eta*p, on -y;
+    rows with no mass are dropped, as the augmented set drops them. The
+    model is that of training on :func:`augment_with_prior`'s set up to
+    rounding. Two things keep their meaning on that set: the default
+    confidence smoothing is 1/(2n) with n its row count, and train_error is
+    the error over its rows. Stats gain prior_loss.
 
     With line-search alpha the recorded prior_loss is non-increasing round
     over round, because each round minimizes the augmented weighted logistic
@@ -203,11 +232,28 @@ def train_with_prior(
     """
     if boost_cfg.loss_kind != "logistic":
         raise UsageError("prior training requires logistic loss")
+    if not ds.is_classification:
+        raise DataError("prior training requires classification labels")
     p = _resolve_prior(ds, prior)
-    augmented = augment_with_prior(ds, p, prior_cfg.eta)
-    model, stats = train(augmented, boost_cfg, eval_ds)
+    own, flip, own_rows, flip_rows = _fold(ds, p, prior_cfg.eta)
+    n_rows = int(np.sum(own_rows) + np.sum(flip_rows))
+    keep = own + flip > 0.0
+    folded = Dataset(
+        features=ds.features[keep],
+        labels=ds.labels[keep],
+        weights=own[keep],
+        feature_names=ds.feature_names,
+        label_name=ds.label_name,
+    )
+    smoothing = boost_cfg.stumps.resolve_smoothing(n_rows)
+    cfg = replace(boost_cfg, stumps=replace(boost_cfg.stumps, smoothing=smoothing))
+    flip = flip[keep]
+    # with no mass on flipped labels this is plain training, bit for bit
+    model, stats = train(folded, cfg, eval_ds, _flip=flip if np.any(flip) else None)
     f = np.zeros(ds.m)
     for (alpha, stump), s in zip(model.terms, stats):
         f += alpha * stump.evaluate_matrix(ds.features)
         s.prior_loss = prior_objective(f, ds.labels, p, prior_cfg.eta, prior_cfg.epsilon_clip)
+        wrong = sign_pm1(f) != ds.labels
+        s.train_error = int(np.sum(np.where(wrong, own_rows, flip_rows))) / n_rows
     return model, stats

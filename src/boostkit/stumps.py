@@ -15,12 +15,15 @@ index, then lowest threshold, then the orientation with
 left_output <= right_output. Any parallel or reordered scan must reduce with
 the same rule so results match the sequential one.
 
-The search works on per-row label masses: each round splits the
-distribution once into ``w_pos = D`` on positive rows (0 elsewhere) and
-``w_neg = D - w_pos``. Features are sorted once per training run and
-scanned in blocks of consecutive features: groups of ``max(1, 2**14 // m)``
-features, each cut in order into blocks of at most 2**12 candidate
-thresholds (and at least one feature). Both bounds come from the input.
+The search works on per-row label masses: ``w_pos[i]`` and ``w_neg[i]``
+are the masses on labels +1 and -1 at row i. A distribution over labeled
+rows puts each row's mass on its own label (``w_pos = D`` on positive rows,
+0 elsewhere, and ``w_neg = D - w_pos``); training with a prior also puts
+mass on the other label of the same row. Features are sorted once per
+training run and scanned in blocks of consecutive features: groups of
+``max(1, 2**14 // m)`` features, each cut in order into blocks of at most
+2**12 candidate thresholds (and at least one feature). Both bounds come
+from the input.
 For each block one gather ``w[orders]`` builds a ``(features, m)`` array,
 one ``cumsum`` along the rows gives every prefix mass, one precomputed flat
 index pulls out every candidate's left mass, and one ``argmin`` over the
@@ -224,11 +227,12 @@ def best_binary_stump(ds: Dataset, D: np.ndarray) -> tuple[Stump, float]:
     D = np.asarray(D, dtype=np.float64)
     check_distribution(D)
     space = StumpSearchSpace(ds.features)
-    return _best_binary(space, D, ds.labels)
+    return _best_binary(space, *_row_masses(D, ds.labels))
 
 
-def _best_binary(space: StumpSearchSpace, D: np.ndarray, y: np.ndarray) -> tuple[Stump, float]:
-    w_pos, w_neg = _row_masses(D, y)
+def _best_binary(
+    space: StumpSearchSpace, w_pos: np.ndarray, w_neg: np.ndarray
+) -> tuple[Stump, float]:
     best = None
     best_err = math.inf
     for block in space.blocks:
@@ -281,13 +285,12 @@ def best_confidence_stump(
     check_distribution(D)
     space = StumpSearchSpace(ds.features)
     s = StumpSearchConfig(mode="confidence", smoothing=smoothing).resolve_smoothing(ds.m)
-    return _best_confidence(space, D, ds.labels, s)
+    return _best_confidence(space, *_row_masses(D, ds.labels), s)
 
 
 def _best_confidence(
-    space: StumpSearchSpace, D: np.ndarray, y: np.ndarray, smoothing: float
+    space: StumpSearchSpace, w_pos: np.ndarray, w_neg: np.ndarray, smoothing: float
 ) -> Stump:
-    w_pos, w_neg = _row_masses(D, y)
     best = None
     best_z = math.inf
     for block in space.blocks:

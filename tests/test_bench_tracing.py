@@ -1,0 +1,52 @@
+"""The benchmark's tracer still finds every name it patches.
+
+``bench/tracing.py`` wraps module-level names in ``src/`` by ``getattr``, so
+renaming one of them (``boosting._best_confidence``, ``prior.train``,
+``prior.augment_with_prior``, ``boosting.sigmoid``, ...) would crash a
+traced benchmark run. This test installs the tracer and runs a small
+prior-training command through it.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+from boostkit.cli import main
+
+TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_prior_training(tmp_path, capsys):
+    rng = np.random.default_rng(5)
+    X = rng.uniform(-1.0, 1.0, size=(30, 2))
+    y = np.where(X[:, 0] > 0.0, 1.0, -1.0)
+    prior = 1.0 / (1.0 + np.exp(-2.0 * X[:, 0]))
+    rows = ["a,b,label,prior"] + [",".join(repr(float(v)) for v in r) for r in zip(*X.T, y, prior)]
+    data = tmp_path / "train.csv"
+    data.write_text("\n".join(rows) + "\n")
+    argv = ["train", "--data", str(data), "--rounds", "3", "--stumps", "confidence",
+            "--prior-col", "prior", "--eta", "2", "--out", str(tmp_path / "m.txt")]
+
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    tracing.install(tracer)
+    try:
+        code = tracer.span("cli.train", 0, main, argv)
+    finally:
+        tracer.uninstall()
+    assert code == 0, capsys.readouterr().err
+    names = {span[1] for span in tracer.spans}
+    assert {"stumps.search", "boosting.train", "boosting.alpha", "losses.sigmoid",
+            "prior.train_with_prior", "prior.objective"} <= names
+    assert tracer.counters["stumps.search_calls"] == 3
+    assert tracer.counters.get("prior.augmented_rows", 0) == 0
+    metrics = tracing.layer_metrics(tracer.spans, tracer.counters)
+    assert metrics["stumps.search_s"][0] > 0.0

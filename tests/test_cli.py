@@ -83,6 +83,47 @@ class TestTrainCommand:
         assert code == 0
         assert load_model(out).model.loss_kind == "logistic"
 
+    @pytest.mark.parametrize("eta", ["inf", "nan", "-1"])
+    def test_eta_must_be_finite_and_nonnegative(self, tmp_path, np_rng, capsys, eta):
+        ds = random_classification(np_rng, 10, 1)
+        data = write_dataset(tmp_path, dataset(ds.features, ds.labels, prior=np.full(10, 0.5)), "p.csv")
+        code = main(["train", "--data", data, "--rounds", "2", "--prior-col", "prior",
+                     "--eta", eta, "--out", str(tmp_path / "m.txt")])
+        assert code == 1
+        assert "--eta must be finite and nonnegative" in capsys.readouterr().err
+
+    def test_eta_whose_masses_overflow_is_data_error(self, tmp_path, capsys):
+        # 3 rows: each folded mass is finite, their sum is not
+        path = tmp_path / "p.csv"
+        path.write_text("a,label,prior\n0,1,0.5\n1,-1,0.5\n2,1,0.5\n")
+        out = tmp_path / "m.txt"
+        code = main(["train", "--data", str(path), "--rounds", "2", "--prior-col", "prior",
+                     "--eta", "1e308", "--out", str(out)])
+        assert code == 2
+        assert "weights must have a finite sum" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("loss, stumps", [("logistic", "confidence"), ("exp", "binary"),
+                                              ("exp", "confidence")])
+    def test_weights_with_overflowing_sum_are_data_error(self, tmp_path, capsys, loss, stumps):
+        path = tmp_path / "w.csv"
+        path.write_text("a,label,weight\n0,1,1e308\n1,-1,1e308\n2,1,1e308\n")
+        out = tmp_path / "m.txt"
+        code = main(["train", "--data", str(path), "--rounds", "2", "--loss", loss,
+                     "--stumps", stumps, "--out", str(out)])
+        assert code == 2
+        assert "data error: weights must have a finite sum" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unparseable_test_cell_names_the_test_file(self, tmp_path, random_csv, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("f0,f1,label\n0.1,0.2,1\nnp.float64(0.3),0.4,-1\n")
+        code = main(["train", "--data", random_csv, "--test", str(bad), "--rounds", "2",
+                     "--out", str(tmp_path / "m.txt")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"data error: {bad}: line 3, column 'f0': cannot parse 'np.float64(0.3)'" in err
+
     def test_eta_with_exponential_loss_rejected(self, tmp_path, np_rng):
         ds = random_classification(np_rng, 10, 1)
         ds = dataset(ds.features, ds.labels, prior=np.full(10, 0.5))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -85,6 +87,21 @@ class TestLoadCsv:
     def test_nonfinite_rejected(self, tmp_path):
         path = write(tmp_path, "a,label\ninf,-1\n")
         with pytest.raises(DataError, match="not finite"):
+            load_csv(path)
+
+    def test_weights_with_overflowing_sum_rejected(self, tmp_path):
+        # each weight is finite; their sum is not
+        path = write(tmp_path, "a,label,weight\n1,-1,1e308\n2,1,1e308\n3,1,1e308\n")
+        with pytest.raises(DataError, match="weights must have a finite sum, got inf"):
+            load_csv(path)
+
+    def test_cell_errors_name_the_file(self, tmp_path):
+        path = write(tmp_path, "a,label\n0.5,1\nnp.float64(0.3),-1\n")
+        for loader in (load_csv, load_features_csv):
+            with pytest.raises(DataError, match=f"^{path}: line 3, column 'a': cannot parse"):
+                loader(path)
+        path = write(tmp_path, "a,label\n0.5,1\ninf,-1\n")
+        with pytest.raises(DataError, match=f"^{path}: line 3, column 'a': value 'inf' is not finite"):
             load_csv(path)
 
     def test_weight_column_reserved(self, tmp_path):
@@ -211,6 +228,10 @@ class TestNormalized:
         with pytest.raises(DataError):
             normalized(np.array([1.0, -1.0]))
 
+    def test_rejects_non_finite_sum(self):
+        with pytest.raises(DataError, match="finite sum"):
+            normalized(np.array([1e308, 1e308]))
+
 
 def outcome(loader, path, **kwargs):
     """What a reader gives: its result, or the type and text of its error."""
@@ -226,8 +247,16 @@ def same_bits(a, b) -> bool:
     return a.shape == b.shape and a.dtype == b.dtype and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
+def with_path(old, path):
+    """The oracle's outcome, with the path its cell errors now start with."""
+    if isinstance(old, tuple) and re.match(r"line \d+, column ", old[1]):
+        return old[0], f"{path}: {old[1]}"
+    return old
+
+
 def assert_reader_parity(path, **kwargs):
     new, old = outcome(load_csv, path, **kwargs), outcome(oracles.load_csv, path, **kwargs)
+    old = with_path(old, path)
     if isinstance(old, tuple):
         assert isinstance(new, tuple) and new == old
     else:
@@ -237,6 +266,7 @@ def assert_reader_parity(path, **kwargs):
         assert (new.feature_names, new.label_name) == (old.feature_names, old.label_name)
     kwargs.pop("prior_column", None)
     new, old = outcome(load_features_csv, path, **kwargs), outcome(oracles.load_features_csv, path, **kwargs)
+    old = with_path(old, path)
     if isinstance(old, tuple):
         assert isinstance(new, tuple) and new == old
     else:

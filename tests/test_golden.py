@@ -22,8 +22,8 @@ GOLDEN = {
     "log.txt.stats.csv": "921617e8458b1cafc21ce70ccfb15405c367e3ab7568679c211abf0cdcd42bc8",
     "wexp.txt": "127532e5c4b396ae1bc89d11b0e112eb010c5ab6a5e4c1663c5b2cb1e29bc184",
     "wexp.txt.stats.csv": "6639e7304233c58aa2c8553754fbe78dba379d07ab371b4db187f533ee960f59",
-    "prior.txt": "e0c02ea228ffa4b9ded0879cc10bc7d36e8fb62c799fd23fd6e9397d43687235",
-    "prior.txt.stats.csv": "8e8691dc44c68ab08f0c3a658699d1db0e10ea158480d4c5ce349c1f6ac476ca",
+    "prior.txt": "0c5abf8b2b13e344cc69a7c31f4975e4c7c44236c5b5f856d4e374623fef27c7",
+    "prior.txt.stats.csv": "5da81d631811949e97172e72d7825537d7e5e929b9941ecf4ec369277a23bf33",
     "pred_exp.csv": "3e4f972327e4397a7ea443ca2e1147e8869f6f281a5665cdd2886c7767c898cb",
     "pred_log.csv": "85007eefd31b0f6930121546016c63bcd4cd8b524edc500f77d581a72c8362a2",
     "cde.txt": "30634f1a837cb789bdcd54966e632cb76684432413d738f467b37c08bb8abe0c",

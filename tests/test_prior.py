@@ -1,9 +1,15 @@
+import math
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boostkit.boosting import AdditiveModel, BoostConfig, train
 from boostkit.errors import DataError, UsageError
-from boostkit.losses import empirical_loss, log1pexp
+from boostkit.losses import empirical_loss, log1pexp, sigmoid
 from boostkit.prior import (
     PriorConfig,
     PriorRule,
@@ -203,6 +209,184 @@ class TestTrainWithPrior:
     def test_negative_eta_rejected(self):
         with pytest.raises(UsageError):
             PriorConfig(eta=-1.0)
+
+    @pytest.mark.parametrize("eta", [math.inf, math.nan])
+    def test_non_finite_eta_rejected(self, eta):
+        with pytest.raises(UsageError, match="finite"):
+            PriorConfig(eta=eta)
+
+    def test_folded_masses_with_overflowing_sum_rejected(self):
+        # every mass is finite, but they sum past the largest double
+        ds = dataset([[0.0], [1.0], [2.0]], [1.0, -1.0, 1.0])
+        with pytest.raises(DataError, match="finite sum"):
+            train_with_prior(ds, np.full(3, 0.5), PriorConfig(eta=1e308), logistic_cfg(2))
+
+
+def close(a, b):
+    """Agreement up to rounding: 1e-9 relative, or 1e-12 absolute near zero
+    (a converged round's alpha is set by derivatives known to about 1e-16)."""
+    return math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-12)
+
+
+def search_objective(stump, X, w_pos, w_neg, mode, smoothing):
+    """What the stump search minimizes, for the partition a stump makes of X."""
+    left = X[:, stump.feature_index] <= stump.threshold
+    wp_l, wn_l, wp_r, wn_r = (float(np.sum(w[side])) for side in (left, ~left) for w in (w_pos, w_neg))
+    if mode == "binary":
+        return min(wp_l + wn_r, wn_l + wp_r)
+    s = smoothing
+    return 2.0 * (math.sqrt((wp_l + s) * (wn_l + s)) + math.sqrt((wp_r + s) * (wn_r + s)))
+
+
+def run_or_stop(run, cfg):
+    """run(cfg)'s model and stats, or the round at which its stump was zero on
+    every row: the scores had converged, and which run gets there first is
+    down to rounding."""
+    try:
+        return run(cfg)
+    except DataError as exc:
+        match = re.match(r"round (\d+): uninformative base classifier", str(exc))
+        if match is None:
+            raise
+        return int(match.group(1))
+
+
+def assert_matches_augmented(ds, p, eta, mode, eval_ds, rounds=8):
+    """train_with_prior against plain training on the augmented set, round by round.
+
+    Both runs pick the same feature and threshold, or (when copies of a
+    partition tie) stumps that split the training rows alike. Two distinct
+    partitions whose objectives tie exactly are ordered by rounding, which
+    differs between the runs; the comparison checks that the tie is real
+    and stops there. If a run stops at round k because the scores have
+    converged, the other must add nothing (up to rounding) in round k, and
+    the rounds before it are compared. Returns the number of rounds compared.
+    """
+    cfg = BoostConfig(rounds=rounds, loss_kind="logistic", stumps=StumpSearchConfig(mode=mode))
+    pcfg = PriorConfig(eta=eta)
+    aug = augment_with_prior(ds, p, eta)
+    runs = (lambda c: train(aug, c, eval_ds), lambda c: train_with_prior(ds, p, pcfg, c, eval_ds))
+    outcomes = [run_or_stop(run, cfg) for run in runs]
+    stops = [o for o in outcomes if isinstance(o, int)]
+    if stops:
+        k = min(stops)
+        for run, outcome in zip(runs, outcomes):
+            if outcome != k:
+                alpha, stump = run(replace(cfg, rounds=k))[0].terms[-1]
+                assert np.max(np.abs(alpha * stump.evaluate_matrix(aug.features))) <= 1e-12
+        return assert_matches_augmented(ds, p, eta, mode, eval_ds, k - 1) if k > 1 else 0
+    (ref, ref_stats), (model, stats) = outcomes
+    smoothing = 1.0 / (2.0 * aug.m)
+    f_aug, f = np.zeros(aug.m), np.zeros(ds.m)
+    same_stumps = True
+    for t, ((alpha, stump), (ref_alpha, ref_stump), s, r) in enumerate(
+        zip(model.terms, ref.terms, stats, ref_stats)
+    ):
+        same_pick = (stump.feature_index, stump.threshold) == (ref_stump.feature_index, ref_stump.threshold)
+        same_stumps = same_stumps and same_pick
+        h, ref_h = stump.evaluate_matrix(aug.features), ref_stump.evaluate_matrix(aug.features)
+        agree = close(alpha, ref_alpha) and all(map(close, h, ref_h))
+        if same_pick:
+            agree = agree and close(stump.left_output, ref_stump.left_output)
+            agree = agree and close(stump.right_output, ref_stump.right_output)
+        converged = max(np.max(np.abs(alpha * h)), np.max(np.abs(ref_alpha * ref_h))) <= 1e-12
+        if not same_pick and all(map(close, h, ref_h)):
+            # one partition of the rows with mass, recorded on another feature;
+            # two thresholds of one feature always split those rows apart
+            assert stump.feature_index != ref_stump.feature_index or converged, t
+        # in a round that adds nothing, which stump carries alpha ~ 0 is down to rounding
+        if not (agree or converged):
+            assert not same_pick, (t, alpha, ref_alpha, stump, ref_stump)
+            assert not all(map(close, h, ref_h)), (t, alpha, ref_alpha)
+            D = aug.weights * sigmoid(-(aug.labels * f_aug))
+            w_pos = np.where(aug.labels > 0.0, D / D.sum(), 0.0)
+            w_neg = D / D.sum() - w_pos
+            mine, theirs = (search_objective(st_, aug.features, w_pos, w_neg, mode, smoothing)
+                            for st_ in (stump, ref_stump))
+            assert close(mine, theirs), (t, mine, theirs)
+            return t
+        for name in ("epsilon", "z", "cumulative_bound", "loss"):
+            assert close(getattr(s, name), getattr(r, name)), (t, name)
+        f_aug += ref_alpha * ref_stump.evaluate_matrix(aug.features)
+        f += ref_alpha * ref_stump.evaluate_matrix(ds.features)
+        assert close(s.prior_loss, prior_objective(f, ds.labels, p, eta, pcfg.epsilon_clip)), t
+        assert s.train_error == r.train_error, t
+        if same_stumps:
+            assert s.test_error == r.test_error, t
+    return rounds
+
+
+GRID = st.sampled_from([-1.0, 0.0, 0.5, 2.0]) | st.floats(-10, 10)
+
+
+class TestFoldedMatchesAugmented:
+    """Training on the m rows with folded masses against training on the 3m-row set."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.sampled_from([0.0, 0.5, 5.0]), st.sampled_from(["binary", "confidence"]))
+    def test_drawn_data(self, data, eta, mode):
+        m = data.draw(st.integers(1, 40))
+        d = data.draw(st.integers(1, 4))
+        rows = st.lists(st.lists(GRID, min_size=d, max_size=d), min_size=m, max_size=m)
+        X = np.array(data.draw(rows))
+        y = np.array(data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=m, max_size=m)))
+        w = np.array(data.draw(st.lists(st.just(0.0) | st.floats(0.01, 3.0), min_size=m, max_size=m)))
+        if not w.any():
+            w[0] = 1.0
+        p = np.array(data.draw(st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+                                        min_size=m, max_size=m)))
+        Xe = np.array(data.draw(st.lists(st.lists(GRID, min_size=d, max_size=d), min_size=1, max_size=8)))
+        ye = np.array(data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=len(Xe), max_size=len(Xe))))
+        assert_matches_augmented(dataset(X, y, weights=w), p, eta, mode, dataset(Xe, ye))
+
+    @pytest.mark.parametrize("mode", ["binary", "confidence"])
+    @pytest.mark.parametrize("eta", [0.5, 5.0])
+    def test_every_round_on_weighted_data(self, np_rng, eta, mode):
+        # continuous weights keep every mass distinct, so no round can tie
+        m = 120
+        X = np_rng.normal(size=(m, 4))
+        X[:, 1] = np.round(X[:, 1] * 2.0) / 2.0  # tied values
+        y = np.where(X[:, 0] + np_rng.normal(scale=0.8, size=m) > 0.0, 1.0, -1.0)
+        p = sigmoid(2.0 * X[:, 0])
+        p[:20], p[20:40] = 0.0, 1.0
+        w = np_rng.uniform(0.2, 2.0, size=m)
+        w[40:50] = 0.0
+        Xe = np_rng.normal(size=(60, 4))
+        ye = np.where(Xe[:, 0] > 0.0, 1.0, -1.0)
+        assert assert_matches_augmented(dataset(X, y, weights=w), p, eta, mode,
+                                        dataset(Xe, ye), rounds=12) == 12
+
+    @pytest.mark.parametrize("mode", ["binary", "confidence"])
+    def test_eta_zero_is_the_augmented_run_bit_for_bit(self, np_rng, mode):
+        # with no prior mass, the kept rows and their weights are the augmented
+        # set's; rows of base weight 0 are dropped from both
+        m = 40
+        X = np.round(np_rng.normal(size=(m, 3)) * 4.0) / 4.0
+        y = np_rng.choice([-1.0, 1.0], size=m)
+        w = np_rng.uniform(0.5, 2.0, size=m)
+        w[::3] = 0.0
+        ds, p = dataset(X, y, weights=w), np_rng.uniform(size=m)
+        cfg = BoostConfig(rounds=6, loss_kind="logistic", stumps=StumpSearchConfig(mode=mode))
+        model, stats = train_with_prior(ds, p, PriorConfig(eta=0.0), cfg, ds)
+        ref, ref_stats = train(augment_with_prior(ds, p, 0.0), cfg, ds)
+        assert model.terms == ref.terms
+        for s, r in zip(stats, ref_stats):
+            s.prior_loss = None
+            assert s == r
+
+    def test_default_smoothing_counts_augmented_rows(self, np_rng):
+        # 10 rows, 3 with base weight 0, 2 with p = 0 and 2 with p = 1: the
+        # augmented set has 7 + 8 + 8 = 23 rows, so the smoothing is 1/46
+        ds = dataset(np_rng.normal(size=(10, 2)), np_rng.choice([-1.0, 1.0], size=10),
+                     weights=np.array([0.0, 0.0, 0.0, 1, 1, 1, 1, 1, 1, 1]))
+        p = np.array([0.0, 0.0, 1.0, 1.0, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8])
+        assert augment_with_prior(ds, p, 2.0).m == 23
+        cfg = logistic_cfg(3)
+        model, _ = train_with_prior(ds, p, PriorConfig(eta=2.0), cfg)
+        explicit = BoostConfig(rounds=3, loss_kind="logistic",
+                               stumps=StumpSearchConfig(mode="confidence", smoothing=1.0 / 46.0))
+        same, _ = train_with_prior(ds, p, PriorConfig(eta=2.0), explicit)
+        assert model.terms == same.terms
 
 
 class TestPriorRules:

@@ -15,6 +15,7 @@ from boostkit.stumps import (
     StumpSearchSpace,
     _best_binary,
     _best_confidence,
+    _row_masses,
     best_binary_stump,
     best_confidence_stump,
     confidence_output,
@@ -267,8 +268,8 @@ def assert_search_matches_oracle(X, y, D, smoothing):
     """Block search and the per-feature loop agree bit for bit, errors included."""
     space, ref = StumpSearchSpace(X), oracles.StumpSearchSpace(X)
     assert [len(t) for t in space.thresholds] == [len(t) for t in ref.thresholds]
-    assert _outcome(_best_binary, space, D, y) == _outcome(oracles.best_binary, ref, D, y)
-    assert _outcome(_best_confidence, space, D, y, smoothing) == _outcome(
+    assert _outcome(_best_binary, space, *_row_masses(D, y)) == _outcome(oracles.best_binary, ref, D, y)
+    assert _outcome(_best_confidence, space, *_row_masses(D, y), smoothing) == _outcome(
         oracles.best_confidence, ref, D, y, smoothing
     )
 
@@ -351,8 +352,8 @@ class TestBlockSearchOracle:
         assert [len(t) for t in space.thresholds] == [1, 1, 1]
         assert len(space.blocks) == 2
         assert_search_matches_oracle(X, y, D, 0.01)
-        assert _best_binary(space, D, y)[0].feature_index == 0
-        assert _best_confidence(space, D, y, 0.01).feature_index == 0
+        assert _best_binary(space, *_row_masses(D, y))[0].feature_index == 0
+        assert _best_confidence(space, *_row_masses(D, y), 0.01).feature_index == 0
 
     def test_tie_across_block_boundary_keeps_lower_feature(self, np_rng):
         m = 3000  # blocks of 5 features with 12 levels: 4 | 5 straddle the first boundary
@@ -365,8 +366,8 @@ class TestBlockSearchOracle:
         assert [b.start for b in space.blocks] == [0, 5, 10]
         for kind in ("uniform", "random", "spread"):
             D = _distribution(np_rng, m, kind)
-            assert _best_binary(space, D, y)[0].feature_index == 4
-            assert _best_confidence(space, D, y, 0.0).feature_index == 4
+            assert _best_binary(space, *_row_masses(D, y))[0].feature_index == 4
+            assert _best_confidence(space, *_row_masses(D, y), 0.0).feature_index == 4
             assert_search_matches_oracle(X, y, D, 0.0)
 
     def test_zero_smoothing_pure_side_raises_the_same_error(self, np_rng):
@@ -376,7 +377,7 @@ class TestBlockSearchOracle:
         y = np.where(X[:, 4] > 0.5, 1.0, -1.0)
         D = _distribution(np_rng, m, "random")
         with pytest.raises(DataError, match="pure side with smoothing=0"):
-            _best_confidence(StumpSearchSpace(X), D, y, 0.0)
+            _best_confidence(StumpSearchSpace(X), *_row_masses(D, y), 0.0)
         assert_search_matches_oracle(X, y, D, 0.0)
 
     def test_signed_weights_clamp_right_masses(self, np_rng):
@@ -388,4 +389,4 @@ class TestBlockSearchOracle:
             y = np_rng.choice([-1.0, 1.0], size=m)
             D = np_rng.uniform(-0.5, 1.0, size=m)
             space, ref = StumpSearchSpace(X), oracles.StumpSearchSpace(X)
-            assert _bits(*_best_binary(space, D, y)) == _bits(*oracles.best_binary(ref, D, y))
+            assert _bits(*_best_binary(space, *_row_masses(D, y))) == _bits(*oracles.best_binary(ref, D, y))
