@@ -61,10 +61,6 @@ class Pool:
         return self._full.features
 
     @property
-    def labeled_ids(self) -> tuple[int, ...]:
-        return tuple(self._labeled)
-
-    @property
     def budget_used(self) -> int:
         return len(self._labeled)
 

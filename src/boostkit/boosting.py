@@ -452,6 +452,7 @@ def train(
     smoothing = cfg.stumps.resolve_smoothing(m)
 
     rounds = RoundAccounting(base, y, cfg.loss_kind, _flip)
+    logistic_support = (base if _flip is None else base + _flip) > 0.0
     f_eval = np.zeros(eval_ds.m) if eval_ds is not None else None
     terms: list[tuple[float, Stump]] = []
     stats: list[RoundStats] = []
@@ -474,7 +475,11 @@ def train(
                 alpha = 1.0
                 clamped = False
             else:
-                if cfg.loss_kind == "exponential":
+                # the line search's support: rows with mass in its objective
+                support = D > 0.0 if cfg.loss_kind == "exponential" else logistic_support
+                if not np.any(h[support] != 0.0):
+                    alpha = 0.0  # h adds nothing where there is mass: the fit has converged
+                elif cfg.loss_kind == "exponential":
                     alpha = alpha_line_search(D, h, y)
                 else:
                     alpha = alpha_logistic_line_search(

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import math
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -30,11 +32,10 @@ from .boosting import (
 )
 from .boosting import update_distribution  # noqa: F401  the benchmark tracer patches it here
 from .config import load_config
-from .data import load_csv, load_features_csv
+from .data import load_csv, load_features_csv, split
 from .errors import BoostkitError, DataError, InvariantError, UsageError
 from .losses import check_finite_scores, loss_values, prob_positive
 from .model_io import (
-    LoadedModel,
     atomic_write_text,
     load_model,
     save_classifier,
@@ -43,14 +44,6 @@ from .model_io import (
 from .prior import PriorConfig, load_rule_table, train_with_prior
 from .rng import RngState
 from .stumps import StumpSearchConfig
-
-_LOSS_FLAG = {"exp": "exponential", "logistic": "logistic"}
-_ALPHA_FLAG = {
-    "auto": "auto",
-    "closed-form": "closed_form_binary",
-    "line-search": "line_search",
-    "unit": "unit",
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -66,41 +59,143 @@ def _write_csv(path: str, header, rows) -> None:
     atomic_write_text(path, buf.getvalue())
 
 
-class _Options:
-    """Flags layered over an optional config file, flags winning."""
+class _Kind(NamedTuple):
+    """How a flag's text becomes its value: ``parse`` raises ValueError on
+    text that is not ``accepts`` (None for free text)."""
 
-    def __init__(self, args: argparse.Namespace):
-        self.args = args
-        self.cfg = load_config(args.config) if getattr(args, "config", None) else {}
-
-    def get(self, key: str, cast=str, default=None, required: bool = False):
-        flag = getattr(self.args, key, None)
-        if flag is not None:
-            return flag
-        if key in self.cfg:
-            try:
-                return cast(self.cfg[key])
-            except ValueError:
-                raise UsageError(f"config key {key!r}: bad value {self.cfg[key]!r}") from None
-        if required and default is None:
-            raise UsageError(f"missing required option --{key.replace('_', '-')}")
-        return default
+    parse: Callable[[str], object]
+    accepts: str | None
 
 
-def _boost_config(opt: _Options, default_loss: str, default_stumps: str) -> BoostConfig:
-    loss_flag = opt.get("loss", str, default_loss)
-    if loss_flag not in _LOSS_FLAG:
-        raise UsageError(f"--loss must be one of {sorted(_LOSS_FLAG)}")
-    stump_mode = opt.get("stumps", str, default_stumps)
-    alpha_flag = opt.get("alpha", str, "auto")
-    if alpha_flag not in _ALPHA_FLAG:
-        raise UsageError(f"--alpha must be one of {sorted(_ALPHA_FLAG)}")
-    smoothing = opt.get("smoothing", float)
+def _number(cast, ok, accepts: str) -> _Kind:
+    def parse(text: str):
+        value = cast(text)
+        if not ok(value):
+            raise ValueError(text)
+        return value
+
+    return _Kind(parse, accepts)
+
+
+def _choice(values: dict[str, str]) -> _Kind:
+    """One of the keys of ``values``, parsed to the value it maps to."""
+
+    def parse(text: str) -> str:
+        if text not in values:
+            raise ValueError(text)
+        return values[text]
+
+    return _Kind(parse, "one of " + ", ".join(values))
+
+
+_TEXT = _Kind(str, None)
+_POSITIVE = _number(int, lambda v: v >= 1, "an integer >= 1")
+_NONNEGATIVE = _number(int, lambda v: v >= 0, "an integer >= 0")  # seeds too, as RngState requires
+_FINITE_NONNEGATIVE = _number(float, lambda v: 0.0 <= v < math.inf, "finite and nonnegative")
+_OPEN_UNIT = _number(float, lambda v: 0.0 < v < 1.0, "in (0, 1)")
+
+
+def _seed_list(text: str) -> list[int]:
+    seeds = [_NONNEGATIVE.parse(s) for s in text.split(",") if s.strip() != ""]
+    if not seeds:
+        raise ValueError(text)
+    return seeds
+
+
+_REQUIRED = object()
+
+
+class _Flag(NamedTuple):
+    kind: _Kind
+    default: object  # flag text, None for none, or _REQUIRED
+    help: str
+
+
+# Every flag of every command. A config-file key is the flag's name with "_"
+# for "-", and its value goes through the same parse.
+_FLAGS = {
+    "config": _Flag(_TEXT, None, "key = value config file; flags override it"),
+    "label_col": _Flag(_TEXT, "label", "label column"),
+    "data": _Flag(_TEXT, _REQUIRED, "input CSV"),
+    "test": _Flag(_TEXT, None, "held-out CSV"),
+    "model": _Flag(_TEXT, _REQUIRED, "model file"),
+    "out": _Flag(_TEXT, _REQUIRED, "file to write"),
+    "stats": _Flag(_TEXT, None, "round-stats CSV, by default <out>.stats.csv"),
+    "prior_col": _Flag(_TEXT, None, "prior probability column"),
+    "prior_rules": _Flag(_TEXT, None, "prior rule-table file"),
+    "eta": _Flag(_FINITE_NONNEGATIVE, None, "prior strength, required with a prior and without default"),
+    "rounds": _Flag(_POSITIVE, _REQUIRED, "boosting rounds"),
+    "loss": _Flag(_choice({"exp": "exponential", "logistic": "logistic"}), None,
+                  "training loss, by default logistic with a prior and exp otherwise"),
+    "stumps": _Flag(_choice({"binary": "binary", "confidence": "confidence"}), None,
+                    "base learner outputs, by default binary for train and confidence otherwise"),
+    "alpha": _Flag(
+        _choice({"auto": "auto", "closed-form": "closed_form_binary",
+                 "line-search": "line_search", "unit": "unit"}),
+        "auto", "vote-weight strategy"),
+    "smoothing": _Flag(_FINITE_NONNEGATIVE, None, "confidence smoothing, by default 1/(2m)"),
+    "seed": _Flag(_NONNEGATIVE, "0", "recorded in trained models; seeds the draws of cde sample"),
+    "k": _Flag(_POSITIVE, _REQUIRED, "number of breakpoints"),
+    "n_samples": _Flag(_POSITIVE, "1", "draws per row"),
+    "level": _Flag(_OPEN_UNIT, _REQUIRED, "quantile level"),
+    "test_fraction": _Flag(_OPEN_UNIT, "0.3", "share of rows held out when there is no test file"),
+    "split_seed": _Flag(_NONNEGATIVE, "0", "seed of that split"),
+    "strategy": _Flag(_choice({"uncertainty": "uncertainty", "random": "random", "both": "both"}),
+                      "both", "labeling strategy"),
+    "init": _Flag(_POSITIVE, "500", "initial random batch"),
+    "batch": _Flag(_POSITIVE, "200", "per-iteration batch"),
+    "iterations": _Flag(_NONNEGATIVE, "10", "query iterations"),
+    "seeds": _Flag(_Kind(_seed_list, "a comma-separated list of integers >= 0"), "0",
+                   "one paired run per seed"),
+}
+_CONFIG_KEYS = frozenset(_FLAGS) - {"config"}
+
+
+def _dashed(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def _parse(key: str, text: str, where: str = ""):
+    flag = _FLAGS[key]
+    try:
+        return flag.kind.parse(text)
+    except ValueError:
+        raise UsageError(f"{where}{_dashed(key)} must be {flag.kind.accepts}, got {text!r}") from None
+
+
+def _help(key: str) -> str:
+    flag = _FLAGS[key]
+    text = flag.help if flag.kind.accepts is None else f"{flag.help}; {flag.kind.accepts}"
+    if flag.default is _REQUIRED:
+        return text + " (required)"
+    return text if flag.default is None else f"{text} (default: {flag.default})"
+
+
+def _options(args: argparse.Namespace, keys: tuple[str, ...]) -> dict[str, object]:
+    """Each key's value: its flag, else its --config value, else its default.
+
+    A command ignores config keys it does not take.
+    """
+    config = load_config(args.config, _CONFIG_KEYS) if args.config else {}
+    values = {}
+    for key in keys:
+        value = getattr(args, key)
+        if value is None and key in config:
+            value = _parse(key, config[key], f"{args.config}: ")
+        elif value is None and _FLAGS[key].default is _REQUIRED:
+            raise UsageError(f"missing required option {_dashed(key)}")
+        elif value is None and _FLAGS[key].default is not None:
+            value = _parse(key, _FLAGS[key].default)
+        values[key] = value
+    return values
+
+
+def _boost_config(opt: dict, loss_kind: str, default_stumps: str) -> BoostConfig:
     return BoostConfig(
-        rounds=opt.get("rounds", int, required=True),
-        loss_kind=_LOSS_FLAG[loss_flag],
-        stumps=StumpSearchConfig(mode=stump_mode, smoothing=smoothing),
-        alpha_strategy=_ALPHA_FLAG[alpha_flag],
+        rounds=opt["rounds"],
+        loss_kind=loss_kind,
+        stumps=StumpSearchConfig(mode=opt["stumps"] or default_stumps, smoothing=opt["smoothing"]),
+        alpha_strategy=opt["alpha"],
     )
 
 
@@ -108,30 +203,21 @@ def _config_echo(pairs: list[tuple[str, object]]) -> str:
     return ";".join(f"{k}={v}" for k, v in pairs)
 
 
-def cmd_train(args: argparse.Namespace) -> int:
-    opt = _Options(args)
-    label_col = opt.get("label_col", str, "label")
-    prior_col = opt.get("prior_col", str)
-    prior_rules = opt.get("prior_rules", str)
-    eta = opt.get("eta", float)
+def cmd_train(opt: dict) -> int:
+    prior_col, prior_rules, eta = opt["prior_col"], opt["prior_rules"], opt["eta"]
     if eta is not None and prior_col is None and prior_rules is None:
         raise UsageError("--eta requires --prior-col or --prior-rules")
     if eta is None and (prior_col is not None or prior_rules is not None):
         raise UsageError("--prior-col/--prior-rules require --eta (it has no default)")
-    if eta is not None and not 0.0 <= eta < math.inf:
-        raise UsageError(f"--eta must be finite and nonnegative, got {eta!r}")
 
-    default_loss = "logistic" if eta is not None else "exp"
-    cfg = _boost_config(opt, default_loss=default_loss, default_stumps="binary")
+    loss = opt["loss"] or ("logistic" if eta is not None else "exponential")
+    cfg = _boost_config(opt, loss, default_stumps="binary")
     if eta is not None and cfg.loss_kind != "logistic":
         raise UsageError("training with a prior requires --loss logistic")
 
-    data_path = opt.get("data", str, required=True)
-    out_path = opt.get("out", str, required=True)
-    seed = opt.get("seed", int, 0)
-    ds = load_csv(data_path, label_column=label_col, prior_column=prior_col)
-    test_path = opt.get("test", str)
-    eval_ds = load_csv(test_path, label_column=label_col) if test_path else None
+    label_col, out_path = opt["label_col"], opt["out"]
+    ds = load_csv(opt["data"], label_column=label_col, prior_column=prior_col)
+    eval_ds = load_csv(opt["test"], label_column=label_col) if opt["test"] else None
 
     echo = _config_echo(
         [
@@ -151,8 +237,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     else:
         model, stats = train(ds, cfg, eval_ds)
 
-    save_classifier(out_path, model, features=ds.d, seed=seed, config=echo)
-    stats_path = opt.get("stats", str, out_path + ".stats.csv")
+    save_classifier(out_path, model, features=ds.d, seed=opt["seed"], config=echo)
+    stats_path = opt["stats"] or out_path + ".stats.csv"
     _write_csv(stats_path, STATS_CSV_COLUMNS, stats_csv_rows(stats))
     last = stats[-1]
     print(f"trained {model.rounds} rounds; final train_error {last.train_error!r}")
@@ -160,24 +246,27 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_classifier(path: str) -> LoadedModel:
+def _model_and_data(opt: dict, mode: str, labeled: bool = False):
+    """The --model file, which must be a model of the given mode, and the
+    --data rows to score with it: a Dataset if labeled, else the features."""
+    path = opt["model"]
     loaded = load_model(path)
-    if loaded.mode != "classify":
-        raise DataError(f"{path}: is a density model; use the cde commands")
-    return loaded
-
-
-def _check_features(X: np.ndarray, loaded: LoadedModel) -> None:
+    if loaded.mode != mode:
+        other, use = (("density", "the cde commands") if mode == "classify"
+                      else ("classifier", "train/predict/eval"))
+        raise DataError(f"{path}: is a {other} model; use {use}")
+    if labeled:
+        data = load_csv(opt["data"], label_column=opt["label_col"])
+        X = data.features
+    else:
+        data = X = load_features_csv(opt["data"], label_column=opt["label_col"])
     if X.shape[1] != loaded.features:
         raise DataError(f"expected {loaded.features} features, got {X.shape[1]}")
+    return loaded, data
 
 
-def cmd_predict(args: argparse.Namespace) -> int:
-    opt = _Options(args)
-    loaded = _load_classifier(opt.get("model", str, required=True))
-    label_col = opt.get("label_col", str, "label")
-    X = load_features_csv(opt.get("data", str, required=True), label_column=label_col)
-    _check_features(X, loaded)
+def cmd_predict(opt: dict) -> int:
+    loaded, X = _model_and_data(opt, "classify")
     model = loaded.model
     f = model.score(X)
     h = sign_pm1(f)
@@ -186,20 +275,15 @@ def cmd_predict(args: argparse.Namespace) -> int:
         [str(i), repr(float(f[i])), repr(float(h[i])), repr(float(prob[i]))]
         for i in range(X.shape[0])
     ]
-    out_path = opt.get("out", str, required=True)
-    _write_csv(out_path, ("row", "f", "H", "prob_positive"), rows)
-    print(f"predictions for {X.shape[0]} rows written to {out_path}")
+    _write_csv(opt["out"], ("row", "f", "H", "prob_positive"), rows)
+    print(f"predictions for {X.shape[0]} rows written to {opt['out']}")
     return 0
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
-    opt = _Options(args)
-    loaded = _load_classifier(opt.get("model", str, required=True))
-    label_col = opt.get("label_col", str, "label")
-    ds = load_csv(opt.get("data", str, required=True), label_column=label_col)
+def cmd_eval(opt: dict) -> int:
+    loaded, ds = _model_and_data(opt, "classify", labeled=True)
     if not ds.is_classification:
         raise DataError("eval requires classification labels")
-    _check_features(ds.features, loaded)
     model = loaded.model
 
     f = model.score(ds.features)
@@ -242,12 +326,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_cde_train(args: argparse.Namespace) -> int:
-    opt = _Options(args)
-    ds = load_csv(opt.get("data", str, required=True), label_column=opt.get("label_col", str, "label"))
-    cfg = _boost_config(opt, default_loss="logistic", default_stumps="confidence")
-    k = opt.get("k", int, required=True)
-    seed = opt.get("seed", int, 0)
+def cmd_cde_train(opt: dict) -> int:
+    ds = load_csv(opt["data"], label_column=opt["label_col"])
+    cfg = _boost_config(opt, "logistic", default_stumps="confidence")
+    k = opt["k"]
     model = density_mod.train_cde(ds, k, cfg)
     echo = _config_echo(
         [
@@ -258,213 +340,118 @@ def cmd_cde_train(args: argparse.Namespace) -> int:
             ("smoothing", "auto" if cfg.stumps.smoothing is None else cfg.stumps.smoothing),
         ]
     )
-    out_path = opt.get("out", str, required=True)
-    save_density(out_path, model, features=ds.d, seed=seed, config=echo)
+    save_density(opt["out"], model, features=ds.d, seed=opt["seed"], config=echo)
     flagged = sum(model.constant_flags)
-    print(f"density model with {model.k} breakpoints written to {out_path}")
+    print(f"density model with {model.k} breakpoints written to {opt['out']}")
     if flagged:
         print(f"constant_classifiers {flagged}")
     return 0
 
 
-def _load_density(path: str):
-    loaded = load_model(path)
-    if loaded.mode != "cde":
-        raise DataError(f"{path}: is a classifier model; use train/predict/eval")
-    return loaded
-
-
-def cmd_cde_sample(args: argparse.Namespace) -> int:
-    opt = _Options(args)
-    loaded = _load_density(opt.get("model", str, required=True))
-    X = load_features_csv(opt.get("data", str, required=True), label_column=opt.get("label_col", str, "label"))
-    _check_features(X, loaded)
-    n = opt.get("n_samples", int, 1)
-    if n < 1:
-        raise UsageError("--n-samples must be >= 1")
-    rng = RngState(opt.get("seed", int, 0))
-    values = density_mod.sample_rows(loaded.density, X, n, rng).tolist()
+def cmd_cde_sample(opt: dict) -> int:
+    loaded, X = _model_and_data(opt, "cde")
+    rng = RngState(opt["seed"])
+    values = density_mod.sample_rows(loaded.density, X, opt["n_samples"], rng).tolist()
     rows = [
         [str(i), str(s), repr(value)]
         for i, row in enumerate(values)
         for s, value in enumerate(row)
     ]
-    out_path = opt.get("out", str, required=True)
-    _write_csv(out_path, ("row", "sample", "value"), rows)
-    print(f"{len(rows)} samples written to {out_path}")
+    _write_csv(opt["out"], ("row", "sample", "value"), rows)
+    print(f"{len(rows)} samples written to {opt['out']}")
     return 0
 
 
-def cmd_cde_quantile(args: argparse.Namespace) -> int:
-    opt = _Options(args)
-    level = opt.get("level", float, required=True)
-    if not 0.0 < level < 1.0:
-        raise UsageError(f"--level must be in (0, 1), got {level!r}")
-    loaded = _load_density(opt.get("model", str, required=True))
-    X = load_features_csv(opt.get("data", str, required=True), label_column=opt.get("label_col", str, "label"))
-    _check_features(X, loaded)
-    values = density_mod.quantiles(loaded.density, X, level).tolist()
+def cmd_cde_quantile(opt: dict) -> int:
+    loaded, X = _model_and_data(opt, "cde")
+    values = density_mod.quantiles(loaded.density, X, opt["level"]).tolist()
     rows = [[str(i), repr(value)] for i, value in enumerate(values)]
-    out_path = opt.get("out", str, required=True)
-    _write_csv(out_path, ("row", "value"), rows)
-    print(f"quantiles written to {out_path}")
+    _write_csv(opt["out"], ("row", "value"), rows)
+    print(f"quantiles written to {opt['out']}")
     return 0
 
 
-def cmd_active(args: argparse.Namespace) -> int:
-    opt = _Options(args)
-    ds = load_csv(opt.get("data", str, required=True), label_column=opt.get("label_col", str, "label"))
-    test_path = opt.get("test", str)
-    if test_path:
-        test = load_csv(test_path, label_column=opt.get("label_col", str, "label"))
+def cmd_active(opt: dict) -> int:
+    ds = load_csv(opt["data"], label_column=opt["label_col"])
+    if opt["test"]:
+        test = load_csv(opt["test"], label_column=opt["label_col"])
     else:
-        from .data import split
+        ds, test = split(ds, opt["test_fraction"], RngState(opt["split_seed"]))
+    cfg = _boost_config(opt, opt["loss"] or "exponential", default_stumps="confidence")
 
-        fraction = opt.get("test_fraction", float, 0.3)
-        ds, test = split(ds, fraction, RngState(opt.get("split_seed", int, 0)))
-    cfg = _boost_config(opt, default_loss="exp", default_stumps="confidence")
-
-    strategy = opt.get("strategy", str, "both")
-    if strategy not in ("uncertainty", "random", "both"):
-        raise UsageError("--strategy must be uncertainty, random, or both")
+    strategy = opt["strategy"]
     strategies = ["uncertainty", "random"] if strategy == "both" else [strategy]
-    seeds_text = opt.get("seeds", str, "0")
-    try:
-        seeds = [int(s) for s in str(seeds_text).split(",") if s.strip() != ""]
-    except ValueError:
-        raise UsageError(f"--seeds must be a comma-separated integer list, got {seeds_text!r}") from None
-    if not seeds:
-        raise UsageError("--seeds must name at least one seed")
-
     results = []
     for strat in strategies:
-        for seed in seeds:
+        for seed in opt["seeds"]:
             acfg = active_mod.ActiveConfig(
                 boost=cfg,
-                init_batch=opt.get("init", int, 500),
-                batch=opt.get("batch", int, 200),
-                iterations=opt.get("iterations", int, 10),
+                init_batch=opt["init"],
+                batch=opt["batch"],
+                iterations=opt["iterations"],
                 strategy=strat,
                 seed=seed,
             )
             results.append(active_mod.simulate(ds, test, acfg))
-    out_path = opt.get("out", str, required=True)
-    _write_csv(out_path, active_mod.CURVE_CSV_COLUMNS, active_mod.curve_csv_rows(results))
+    _write_csv(opt["out"], active_mod.CURVE_CSV_COLUMNS, active_mod.curve_csv_rows(results))
     truncated = sum(r.truncated for r in results)
-    print(f"learning curves written to {out_path}")
+    print(f"learning curves written to {opt['out']}")
     if truncated:
         print(f"truncated_runs {truncated}")
     return 0
 
 
+class _Command(NamedTuple):
+    run: Callable[[dict], int]
+    help: str
+    keys: tuple[str, ...]  # besides _COMMON, in --help order
+
+
+_COMMON = ("config", "label_col")
+_COMMANDS = {
+    "train": _Command(cmd_train, "train a boosted stump classifier", (
+        "data", "test", "rounds", "loss", "stumps", "alpha", "smoothing", "seed", "out", "stats",
+        "prior_col", "prior_rules", "eta")),
+    "predict": _Command(cmd_predict, "score a dataset with a trained model", ("model", "data", "out")),
+    "eval": _Command(cmd_eval, "error, losses, margins, bound chain", ("model", "data")),
+    "cde train": _Command(cmd_cde_train, "train a density model", (
+        "data", "k", "rounds", "stumps", "alpha", "smoothing", "seed", "out")),
+    "cde sample": _Command(cmd_cde_sample, "draw from predicted distributions", (
+        "model", "data", "n_samples", "seed", "out")),
+    "cde quantile": _Command(cmd_cde_quantile, "invert predicted distributions", (
+        "model", "data", "level", "out")),
+    "active": _Command(cmd_active, "labeling-strategy simulation curves", (
+        "data", "test", "test_fraction", "split_seed", "strategy", "init", "batch", "iterations",
+        "seeds", "rounds", "loss", "stumps", "alpha", "smoothing", "out")),
+}
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="boostkit", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--config", help="key=value config file; flags override")
-        p.add_argument("--label-col", dest="label_col", help="label column name (default: label)")
-
-    p_train = sub.add_parser("train", help="train a boosted stump classifier")
-    add_common(p_train)
-    p_train.add_argument("--data", help="training CSV")
-    p_train.add_argument("--test", help="held-out CSV for per-round test error")
-    p_train.add_argument("--rounds", type=int, help="number of boosting rounds")
-    p_train.add_argument("--loss", choices=("exp", "logistic"), help="training loss")
-    p_train.add_argument("--stumps", choices=("binary", "confidence"), help="base learner outputs")
-    p_train.add_argument("--alpha", choices=tuple(_ALPHA_FLAG), help="vote-weight strategy")
-    p_train.add_argument("--smoothing", type=float, help="confidence smoothing (default 1/(2m))")
-    p_train.add_argument("--seed", type=int, help="provenance seed recorded in the model")
-    p_train.add_argument("--out", help="model file to write")
-    p_train.add_argument("--stats", help="round-stats CSV (default: <out>.stats.csv)")
-    p_train.add_argument("--prior-col", dest="prior_col", help="prior probability column")
-    p_train.add_argument("--prior-rules", dest="prior_rules", help="prior rule-table file")
-    p_train.add_argument("--eta", type=float, help="prior strength (required with a prior; no default)")
-    p_train.set_defaults(func=cmd_train)
-
-    p_pred = sub.add_parser("predict", help="score a dataset with a trained model")
-    add_common(p_pred)
-    p_pred.add_argument("--model", help="model file")
-    p_pred.add_argument("--data", help="CSV of feature rows (label column optional)")
-    p_pred.add_argument("--out", help="predictions CSV")
-    p_pred.set_defaults(func=cmd_predict)
-
-    p_eval = sub.add_parser("eval", help="error, losses, margins, bound chain")
-    add_common(p_eval)
-    p_eval.add_argument("--model", help="model file")
-    p_eval.add_argument("--data", help="labeled CSV")
-    p_eval.set_defaults(func=cmd_eval)
-
-    p_cde = sub.add_parser("cde", help="conditional density estimation")
-    cde_sub = p_cde.add_subparsers(dest="cde_command", required=True)
-
-    p_ct = cde_sub.add_parser("train", help="train a density model")
-    add_common(p_ct)
-    p_ct.add_argument("--data", help="regression CSV")
-    p_ct.add_argument("--k", type=int, help="number of breakpoints")
-    p_ct.add_argument("--rounds", type=int, help="boosting rounds per breakpoint")
-    p_ct.add_argument("--stumps", choices=("binary", "confidence"))
-    p_ct.add_argument("--alpha", choices=tuple(_ALPHA_FLAG))
-    p_ct.add_argument("--smoothing", type=float)
-    p_ct.add_argument("--seed", type=int)
-    p_ct.add_argument("--out", help="model file to write")
-    p_ct.set_defaults(func=cmd_cde_train)
-
-    p_cs = cde_sub.add_parser("sample", help="draw from predicted distributions")
-    add_common(p_cs)
-    p_cs.add_argument("--model")
-    p_cs.add_argument("--data")
-    p_cs.add_argument("--n-samples", dest="n_samples", type=int, help="draws per row (default 1)")
-    p_cs.add_argument("--seed", type=int)
-    p_cs.add_argument("--out")
-    p_cs.set_defaults(func=cmd_cde_sample)
-
-    p_cq = cde_sub.add_parser("quantile", help="invert predicted distributions")
-    add_common(p_cq)
-    p_cq.add_argument("--model")
-    p_cq.add_argument("--data")
-    p_cq.add_argument("--level", type=float, help="quantile level in (0,1)")
-    p_cq.add_argument("--out")
-    p_cq.set_defaults(func=cmd_cde_quantile)
-
-    p_act = sub.add_parser("active", help="labeling-strategy simulation curves")
-    add_common(p_act)
-    p_act.add_argument("--data", help="fully labeled pool CSV")
-    p_act.add_argument("--test", help="held-out CSV (or use --test-fraction)")
-    p_act.add_argument("--test-fraction", dest="test_fraction", type=float)
-    p_act.add_argument("--split-seed", dest="split_seed", type=int)
-    p_act.add_argument("--strategy", choices=("uncertainty", "random", "both"))
-    p_act.add_argument("--init", type=int, help="initial random batch (default 500)")
-    p_act.add_argument("--batch", type=int, help="per-iteration batch (default 200)")
-    p_act.add_argument("--iterations", type=int)
-    p_act.add_argument("--seeds", help="comma-separated seed list (default 0)")
-    p_act.add_argument("--rounds", type=int, help="boosting rounds per retrain")
-    p_act.add_argument("--loss", choices=("exp", "logistic"))
-    p_act.add_argument("--stumps", choices=("binary", "confidence"))
-    p_act.add_argument("--alpha", choices=tuple(_ALPHA_FLAG))
-    p_act.add_argument("--smoothing", type=float)
-    p_act.add_argument("--out", help="curve CSV")
-    p_act.set_defaults(func=cmd_active)
-
+    groups = {"": parser.add_subparsers(dest="command", required=True)}
+    for name, command in _COMMANDS.items():
+        group, _, leaf = name.rpartition(" ")
+        if group not in groups:  # cde, the one group of commands
+            group_parser = groups[""].add_parser(group, help="conditional density estimation")
+            groups[group] = group_parser.add_subparsers(dest=f"{group}_command", required=True)
+        p = groups[group].add_parser(leaf, help=command.help)
+        for key in _COMMON + command.keys:
+            p.add_argument(_dashed(key), type=functools.partial(_parse, key), help=_help(key))
+        p.set_defaults(handler=command)
     return parser
 
 
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
+        return args.handler.run(_options(args, _COMMON + args.handler.keys))
     except OSError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except BoostkitError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 3
+        kind = {1: "usage error", 2: "data error"}.get(exc.exit_code, "internal error")
+        print(f"{kind}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -1,60 +1,32 @@
 """Flat key=value experiment config files.
 
 One `key = value` per line; blank lines and lines starting with `#` are
-ignored. Unknown and duplicate keys are rejected so typos cannot silently
-fall back to defaults. Command-line flags override config values.
+ignored. Keys outside the caller's set and repeated keys are rejected so
+typos cannot silently fall back to defaults. Values are returned as text for
+the caller to parse.
 """
 
 from __future__ import annotations
 
-from .errors import UsageError
+from collections.abc import Container
 
-KNOWN_KEYS = frozenset(
-    {
-        "data",
-        "test",
-        "model",
-        "out",
-        "stats",
-        "label_col",
-        "prior_col",
-        "prior_rules",
-        "rounds",
-        "loss",
-        "stumps",
-        "alpha",
-        "smoothing",
-        "seed",
-        "eta",
-        "k",
-        "n_samples",
-        "level",
-        "init",
-        "batch",
-        "iterations",
-        "strategy",
-        "seeds",
-        "test_fraction",
-        "split_seed",
-    }
-)
+from .errors import UsageError, utf8_lines
 
 
-def load_config(path: str) -> dict[str, str]:
+def load_config(path: str, known: Container[str]) -> dict[str, str]:
     values: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise UsageError(f"{path}: line {line_no}: expected key = value")
-            key = key.strip()
-            value = value.strip()
-            if key not in KNOWN_KEYS:
-                raise UsageError(f"{path}: line {line_no}: unknown config key {key!r}")
-            if key in values:
-                raise UsageError(f"{path}: line {line_no}: duplicate config key {key!r}")
-            values[key] = value
+    for line_no, raw in enumerate(utf8_lines(path, UsageError), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise UsageError(f"{path}: line {line_no}: expected key = value")
+        key = key.strip()
+        value = value.strip()
+        if key not in known:
+            raise UsageError(f"{path}: line {line_no}: unknown config key {key!r}")
+        if key in values:
+            raise UsageError(f"{path}: line {line_no}: duplicate config key {key!r}")
+        values[key] = value
     return values

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, not_utf8
 from .rng import RngState
 
 PRIOR_COLUMN = "prior"
@@ -194,12 +194,15 @@ def _parse_cell(text: str, path: str, line_no: int, column: str) -> float:
 
 def _csv_rows(fh, path: str):
     """csv.reader over fh whose csv errors (a cell over the csv module's field
-    size limit, say) become DataError naming the path and line."""
+    size limit, say) and bytes that are not UTF-8 become DataError naming the
+    path and line."""
     reader = csv.reader(fh)
     try:
         yield from reader
     except csv.Error as exc:
         raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError:
+        raise not_utf8(path) from None
 
 
 def _read_csv(path: str, pick) -> tuple[list[str], np.ndarray, dict[str, np.ndarray]]:
@@ -330,20 +333,3 @@ def save_csv(ds: Dataset, path: str) -> None:
                 row.append(repr(float(ds.weights[i])))
             writer.writerow(row)
     os.replace(tmp, path)
-
-
-def datasets_equal(a: Dataset, b: Dataset) -> bool:
-    """Exact field-by-field equality (used by round-trip checks)."""
-    def same(x, y):
-        if (x is None) != (y is None):
-            return False
-        return x is None or (x.shape == y.shape and bool(np.all(x == y)))
-
-    return (
-        same(a.features, b.features)
-        and same(a.labels, b.labels)
-        and same(a.prior, b.prior)
-        and same(a.weights, b.weights)
-        and a.feature_names == b.feature_names
-        and a.label_name == b.label_name
-    )

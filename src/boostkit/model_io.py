@@ -46,7 +46,7 @@ import numpy as np
 
 from .boosting import ALPHA_CAP, AdditiveModel
 from .density import Breakpoints, ConditionalDensityModel
-from .errors import DataError
+from .errors import DataError, utf8_lines
 from .losses import LINKS
 from .stumps import Stump
 
@@ -220,8 +220,7 @@ def _read_loss(reader: _LineReader) -> str:
 
 def load_model(path: str) -> LoadedModel:
     """Parse and validate a model file of either mode."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+    lines = [ln.rstrip("\n") for ln in utf8_lines(path) if ln.strip()]
     reader = _LineReader(path, lines)
 
     parts = reader.next(MAGIC)

@@ -115,8 +115,8 @@ class StumpSearchConfig:
     def __post_init__(self):
         if self.mode not in ("binary", "confidence"):
             raise DataError(f"unknown stump mode {self.mode!r}")
-        if self.smoothing is not None and not self.smoothing >= 0.0:
-            raise DataError("smoothing must be nonnegative")
+        if self.smoothing is not None and not 0.0 <= self.smoothing < math.inf:
+            raise DataError("smoothing must be finite and nonnegative")
 
     def resolve_smoothing(self, m: int) -> float:
         return 1.0 / (2.0 * m) if self.smoothing is None else float(self.smoothing)

@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 
+from boostkit import cli
 from boostkit.cli import main
 from boostkit.data import save_csv
 from boostkit.model_io import load_model
@@ -460,3 +461,180 @@ class TestUsage:
     def test_missing_required_flag(self, capsys):
         assert main(["train", "--rounds", "2"]) == 1
         assert "data" in capsys.readouterr().err
+
+
+# One bad value per flag that has a checked value; text flags (paths and
+# column names) take any text.
+BAD_VALUES = {
+    "eta": "-1", "rounds": "0", "loss": "hinge", "stumps": "stump", "alpha": "exact",
+    "smoothing": "nan", "seed": "-5", "k": "0", "n_samples": "0", "level": "1",
+    "test_fraction": "1.5", "split_seed": "-1", "strategy": "greedy", "init": "0",
+    "batch": "0", "iterations": "-1", "seeds": "-1",
+}
+# Valid values of the required flags; the files need not exist, as every
+# value is checked before any file is read.
+REQUIRED_VALUES = {"data": "none.csv", "model": "none.txt", "out": "out.txt", "rounds": "2",
+                   "k": "2", "level": "0.5"}
+
+
+def flag(key):
+    return "--" + key.replace("_", "-")
+
+
+def command_taking(key):
+    """The argv of the first command that takes key, with its other required flags."""
+    name, command = next((n, c) for n, c in cli._COMMANDS.items() if key in c.keys)
+    argv = name.split()
+    for required, value in REQUIRED_VALUES.items():
+        if required in command.keys and required != key:
+            argv += [flag(required), value]
+    return argv
+
+
+class TestFlagTable:
+    def test_every_checked_flag_has_a_bad_value(self):
+        assert set(BAD_VALUES) == {k for k, f in cli._FLAGS.items() if f.kind.accepts is not None}
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("key", sorted(BAD_VALUES))
+    def test_bad_value_is_usage_error_naming_the_flag(self, tmp_path, monkeypatch, capsys, key, source):
+        monkeypatch.chdir(tmp_path)
+        argv = command_taking(key)
+        if source == "flag":
+            argv += [flag(key), BAD_VALUES[key]]
+        else:
+            (tmp_path / "bad.cfg").write_text(f"{key} = {BAD_VALUES[key]}\n")
+            argv += ["--config", "bad.cfg"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and f"{flag(key)} must be " in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("name", list(cli._COMMANDS))
+    def test_help_lists_each_flag_once(self, monkeypatch, capsys, name):
+        monkeypatch.setenv("COLUMNS", "300")  # one line per option
+        with pytest.raises(SystemExit) as exit_info:
+            main(name.split() + ["--help"])
+        assert exit_info.value.code == 0
+        listed = [ln.split()[0] for ln in capsys.readouterr().out.splitlines()
+                  if ln.startswith("  --")]
+        keys = cli._COMMON + cli._COMMANDS[name].keys
+        assert sorted(listed) == sorted(flag(k) for k in keys)
+
+    def test_config_keys_a_command_does_not_take_are_ignored(self, tmp_path, np_rng, capsys):
+        X = np_rng.uniform(-1, 1, size=(60, 2))
+        reg = write_dataset(tmp_path, dataset(X, X[:, 0] + np_rng.normal(size=60)), "reg.csv")
+        clf = write_dataset(tmp_path, random_classification(np_rng, 30, 2), "clf.csv")
+        cfg = tmp_path / "other.cfg"
+        # cde train has no --loss and train has no --k, --level or --seeds
+        cfg.write_text("loss = exp\nk = 0\nlevel = 7\nseeds = x\n")
+        assert main(["cde", "train", "--config", str(cfg), "--data", reg, "--k", "2",
+                     "--rounds", "2", "--out", str(tmp_path / "cde.txt")]) == 0
+        assert main(["train", "--config", str(cfg), "--data", clf, "--rounds", "2",
+                     "--out", str(tmp_path / "m.txt")]) == 0
+        assert load_model(str(tmp_path / "m.txt")).model.loss_kind == "exponential"
+
+    def test_k_above_distinct_labels_is_data_error(self, tmp_path, capsys):
+        data = write_dataset(tmp_path, dataset([[0.0], [1.0], [2.0]], [0.5, 1.5, 2.5]), "r.csv")
+        assert main(["cde", "train", "--data", data, "--k", "3", "--rounds", "2",
+                     "--out", str(tmp_path / "c.txt")]) == 2
+        assert "k must be in [1, 2]" in capsys.readouterr().err
+
+
+CONFIG_RUNS = {
+    "train": (["train", "--out", "m.txt"], ["m.txt", "m.txt.stats.csv"], {
+        "data": "clf.csv", "test": "clf.csv", "rounds": "4", "loss": "logistic",
+        "stumps": "confidence", "alpha": "line-search", "smoothing": "0.01", "seed": "9",
+        "label_col": "y"}),
+    "cde": (["cde", "sample", "--out", "s.csv"], ["s.csv"], {
+        "model": "cde.txt", "data": "reg.csv", "n_samples": "3", "seed": "4", "label_col": "y"}),
+    "active": (["active", "--out", "c.csv"], ["c.csv"], {
+        "data": "pool.csv", "test_fraction": "0.4", "split_seed": "3", "strategy": "random",
+        "init": "10", "batch": "5", "iterations": "2", "seeds": "1,2", "rounds": "3",
+        "loss": "logistic", "stumps": "binary", "alpha": "auto", "label_col": "y"}),
+}
+
+
+@pytest.mark.parametrize("run", sorted(CONFIG_RUNS))
+def test_config_values_give_the_bytes_flags_give(tmp_path, monkeypatch, np_rng, capsys, run):
+    monkeypatch.chdir(tmp_path)
+    clf = random_classification(np_rng, 40, 2)
+    save_csv(dataset(clf.features, clf.labels, label_name="y"), "clf.csv")
+    save_csv(dataset(clf.features, clf.labels, label_name="y"), "pool.csv")
+    X = np_rng.uniform(-1, 1, size=(50, 2))
+    save_csv(dataset(X, X[:, 0] + np_rng.normal(size=50), label_name="y"), "reg.csv")
+    assert main(["cde", "train", "--data", "reg.csv", "--label-col", "y", "--k", "2",
+                 "--rounds", "2", "--out", "cde.txt"]) == 0
+    argv, outputs, values = CONFIG_RUNS[run]
+    by_flags = argv + [a for key, value in values.items() for a in (flag(key), value)]
+    assert main(by_flags) == 0
+    expected = {name: open(name, "rb").read() for name in outputs}
+    with open("run.cfg", "w") as fh:
+        fh.writelines(f"{key} = {value}\n" for key, value in values.items())
+    assert main(argv + ["--config", "run.cfg"]) == 0
+    assert {name: open(name, "rb").read() for name in outputs} == expected
+
+
+class TestNotUtf8:
+    """One byte 0xe4 in any input file is a typed error naming the path and line."""
+
+    @pytest.fixture
+    def files(self, tmp_path, random_csv):
+        model = str(tmp_path / "m.txt")
+        assert main(["train", "--data", random_csv, "--rounds", "2", "--out", model]) == 0
+        text = open(random_csv, "rb").read().splitlines(keepends=True)
+        bad_csv = tmp_path / "bad.csv"
+        bad_csv.write_bytes(b"".join(text[:3] + [b"0.5,0\xe4.25,1\n"] + text[3:]))
+        bad_model = tmp_path / "bad.txt"
+        bad_model.write_bytes(open(model, "rb").read().replace(b"features", b"feat\xe4ures"))
+        bad_cfg = tmp_path / "bad.cfg"
+        bad_cfg.write_bytes(b"rounds = 2\n\n# r\xe4nde\n")
+        bad_rules = tmp_path / "bad_rules.txt"
+        bad_rules.write_bytes(b"0, <=, 0.0, 0.8\n\xe4default, 0.2\n")
+        return {"csv": str(bad_csv), "model": str(bad_model), "cfg": str(bad_cfg),
+                "rules": str(bad_rules), "good_model": model, "good_csv": random_csv}
+
+    @pytest.mark.parametrize("case, code, line", [
+        ("train --data", 2, 4), ("predict --data", 2, 4), ("predict --model", 2, 5),
+        ("train --config", 1, 3), ("train --prior-rules", 2, 2)])
+    def test_names_path_and_line(self, tmp_path, files, capsys, case, code, line):
+        out = str(tmp_path / "out")
+        argv = {
+            "train --data": ["train", "--data", files["csv"], "--rounds", "2", "--out", out],
+            "predict --data": ["predict", "--model", files["good_model"], "--data", files["csv"],
+                               "--out", out],
+            "predict --model": ["predict", "--model", files["model"], "--data", files["good_csv"],
+                                "--out", out],
+            "train --config": ["train", "--config", files["cfg"], "--data", files["good_csv"],
+                               "--out", out],
+            "train --prior-rules": ["train", "--data", files["good_csv"], "--rounds", "2",
+                                    "--prior-rules", files["rules"], "--eta", "1", "--out", out],
+        }[case]
+        bad = {"--data": files["csv"], "--model": files["model"], "--config": files["cfg"],
+               "--prior-rules": files["rules"]}[case.split()[1]]
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert f"{bad}: line {line}: not valid UTF-8 (byte 0xe4)" in err
+        assert "Traceback" not in err
+
+    def test_line_found_past_the_first_decoded_chunk(self, tmp_path, capsys):
+        rows = [f"{i * 0.25!r},{(-1) ** i}" for i in range(5000)]
+        rows[3999] = "0\xe4.5,1"
+        path = tmp_path / "long.csv"
+        path.write_bytes(("a,label\n" + "\n".join(rows) + "\n").encode("latin-1"))
+        assert main(["train", "--data", str(path), "--rounds", "1",
+                     "--out", str(tmp_path / "m.txt")]) == 2
+        assert f"{path}: line 4001: not valid UTF-8" in capsys.readouterr().err
+
+
+def test_converged_logistic_fit_adds_a_zero_term(tmp_path, capsys):
+    # after round 1 the one side's label masses are equal, so round 2's stump is zero
+    data = tmp_path / "conv.csv"
+    data.write_text("a,label,weight\n-1,-1,1\n-1,1,0.5\n")
+    out = str(tmp_path / "m.txt")
+    assert main(["train", "--loss", "logistic", "--stumps", "confidence", "--rounds", "2",
+                 "--data", str(data), "--out", out]) == 0
+    (_, first), (alpha, second) = load_model(out).model.terms
+    x = np.array([[-1.0]])
+    assert first.evaluate_matrix(x)[0] != 0.0
+    assert alpha == 0.0 and second.evaluate_matrix(x)[0] == 0.0

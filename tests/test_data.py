@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 import oracles
 from boostkit.data import (
     Dataset,
-    datasets_equal,
     load_csv,
     load_features_csv,
     normalized,
@@ -20,6 +19,23 @@ from boostkit.errors import DataError
 from boostkit.rng import RngState
 
 from conftest import dataset
+
+
+def datasets_equal(a: Dataset, b: Dataset) -> bool:
+    """Exact field-by-field equality (used by round-trip checks)."""
+    def same(x, y):
+        if (x is None) != (y is None):
+            return False
+        return x is None or (x.shape == y.shape and bool(np.all(x == y)))
+
+    return (
+        same(a.features, b.features)
+        and same(a.labels, b.labels)
+        and same(a.prior, b.prior)
+        and same(a.weights, b.weights)
+        and a.feature_names == b.feature_names
+        and a.label_name == b.label_name
+    )
 
 
 def write(tmp_path, text, name="data.csv"):

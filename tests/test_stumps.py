@@ -182,6 +182,12 @@ class TestBestConfidenceStump:
     def test_default_smoothing_is_half_per_example(self):
         assert StumpSearchConfig(mode="confidence").resolve_smoothing(10) == 0.05
 
+    @pytest.mark.parametrize("smoothing", [-1.0, math.nan, math.inf])
+    def test_smoothing_must_be_finite_and_nonnegative(self, smoothing):
+        ds = dataset(column([1, 2, 3, 4]), [-1, -1, 1, 1])
+        with pytest.raises(DataError, match="smoothing must be finite and nonnegative"):
+            best_confidence_stump(ds, uniform_distribution(4), smoothing=smoothing)
+
     def test_label_flip_negates_outputs(self, np_rng):
         for _ in range(20):
             m = int(np_rng.integers(3, 20))
