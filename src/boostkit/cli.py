@@ -9,9 +9,7 @@ error, 3 internal invariant violation.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import math
 import sys
 from typing import Callable, NamedTuple
@@ -51,12 +49,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _write_csv(path: str, header, rows) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    atomic_write_text(path, buf.getvalue())
+def _write_csv(path: str, header, lines) -> None:
+    """Write a CSV file from its header cells and its data lines.
+
+    Every cell written is a number or a fixed word, so none needs quoting
+    and a line is its cells joined by commas.
+    """
+    atomic_write_text(path, "\n".join((",".join(header), *lines)) + "\n")
 
 
 class _Kind(NamedTuple):
@@ -239,7 +238,7 @@ def cmd_train(opt: dict) -> int:
 
     save_classifier(out_path, model, features=ds.d, seed=opt["seed"], config=echo)
     stats_path = opt["stats"] or out_path + ".stats.csv"
-    _write_csv(stats_path, STATS_CSV_COLUMNS, stats_csv_rows(stats))
+    _write_csv(stats_path, STATS_CSV_COLUMNS, map(",".join, stats_csv_rows(stats)))
     last = stats[-1]
     print(f"trained {model.rounds} rounds; final train_error {last.train_error!r}")
     print(f"model written to {out_path}; stats to {stats_path}")
@@ -271,11 +270,11 @@ def cmd_predict(opt: dict) -> int:
     f = model.score(X)
     h = sign_pm1(f)
     prob = prob_positive(f, model.loss_kind)
-    rows = [
-        [str(i), repr(float(f[i])), repr(float(h[i])), repr(float(prob[i]))]
-        for i in range(X.shape[0])
+    lines = [
+        f"{i},{fi!r},{hi!r},{pi!r}"
+        for i, (fi, hi, pi) in enumerate(zip(f.tolist(), h.tolist(), prob.tolist()))
     ]
-    _write_csv(opt["out"], ("row", "f", "H", "prob_positive"), rows)
+    _write_csv(opt["out"], ("row", "f", "H", "prob_positive"), lines)
     print(f"predictions for {X.shape[0]} rows written to {opt['out']}")
     return 0
 
@@ -290,10 +289,18 @@ def cmd_eval(opt: dict) -> int:
     check_finite_scores(f)
     yf = ds.labels * f
     error = float(np.mean(sign_pm1(f) != ds.labels))
+    exp_loss = float(np.sum(loss_values(yf, "exponential")))
+    log_loss = float(np.sum(loss_values(yf, "logistic1")))
+    for name, value in (("exponential", exp_loss), ("logistic", log_loss)):
+        if not math.isfinite(value):
+            raise DataError(
+                f"{opt['model']}: {name} loss on {opt['data']} is {value!r}; "
+                "the model's scores are too large"
+            )
     print(f"examples {ds.m}")
     print(f"error_rate {error!r}")
-    print(f"exponential_loss {float(np.sum(loss_values(yf, 'exponential')))!r}")
-    print(f"logistic_loss {float(np.sum(loss_values(yf, 'logistic1')))!r}")
+    print(f"exponential_loss {exp_loss!r}")
+    print(f"logistic_loss {log_loss!r}")
 
     try:
         marg = normalized_margins(model, yf)
@@ -352,21 +359,17 @@ def cmd_cde_sample(opt: dict) -> int:
     loaded, X = _model_and_data(opt, "cde")
     rng = RngState(opt["seed"])
     values = density_mod.sample_rows(loaded.density, X, opt["n_samples"], rng).tolist()
-    rows = [
-        [str(i), str(s), repr(value)]
-        for i, row in enumerate(values)
-        for s, value in enumerate(row)
-    ]
-    _write_csv(opt["out"], ("row", "sample", "value"), rows)
-    print(f"{len(rows)} samples written to {opt['out']}")
+    lines = [f"{i},{s},{value!r}" for i, row in enumerate(values) for s, value in enumerate(row)]
+    _write_csv(opt["out"], ("row", "sample", "value"), lines)
+    print(f"{len(lines)} samples written to {opt['out']}")
     return 0
 
 
 def cmd_cde_quantile(opt: dict) -> int:
     loaded, X = _model_and_data(opt, "cde")
     values = density_mod.quantiles(loaded.density, X, opt["level"]).tolist()
-    rows = [[str(i), repr(value)] for i, value in enumerate(values)]
-    _write_csv(opt["out"], ("row", "value"), rows)
+    lines = [f"{i},{value!r}" for i, value in enumerate(values)]
+    _write_csv(opt["out"], ("row", "value"), lines)
     print(f"quantiles written to {opt['out']}")
     return 0
 
@@ -393,7 +396,9 @@ def cmd_active(opt: dict) -> int:
                 seed=seed,
             )
             results.append(active_mod.simulate(ds, test, acfg))
-    _write_csv(opt["out"], active_mod.CURVE_CSV_COLUMNS, active_mod.curve_csv_rows(results))
+    _write_csv(
+        opt["out"], active_mod.CURVE_CSV_COLUMNS, map(",".join, active_mod.curve_csv_rows(results))
+    )
     truncated = sum(r.truncated for r in results)
     print(f"learning curves written to {opt['out']}")
     if truncated:

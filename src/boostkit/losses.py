@@ -28,18 +28,19 @@ LN2 = math.log(2.0)
 
 
 def log1pexp(x):
-    """ln(1 + exp(x)) without overflow for large |x|."""
+    """ln(1 + exp(x)) without overflow for large |x|: log1p(exp(-|x|)) + max(x, 0)."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.where(x > 0.0, x + np.log1p(np.exp(-np.abs(x))), np.log1p(np.exp(np.minimum(x, 0.0))))
+    out = np.log1p(np.exp(-np.abs(x))) + np.maximum(x, 0.0)
     return out if out.ndim else float(out)
 
 
 def sigmoid(x):
     """1/(1 + exp(-x)), stable for any finite x.
 
-    One exp(-|x|) = e serves both branches: 1/(1 + e) where x >= 0 and
-    e/(1 + e) elsewhere, so no exp ever overflows. The result is computed
-    in two in-place buffers.
+    Computed as exp(min(x, 0)) / (1 + exp(-|x|)): the numerator is e^x where
+    x < 0 (there -|x| = x, so both exps see the same input) and exactly 1
+    elsewhere, and no exp ever overflows. Two exps and no masked copy, in
+    two in-place buffers.
     """
     x = np.asarray(x, dtype=np.float64)
     scalar = x.ndim == 0
@@ -53,7 +54,8 @@ def sigmoid(x):
     np.negative(e, out=e)
     np.exp(e, out=e)
     np.add(e, 1.0, out=out)
-    np.copyto(e, 1.0, where=x >= 0.0)
+    np.minimum(x, 0.0, out=e)
+    np.exp(e, out=e)
     np.divide(e, out, out=out)
     return float(out[0]) if scalar else out
 

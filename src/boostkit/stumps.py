@@ -24,15 +24,21 @@ training run and scanned in blocks of consecutive features: groups of
 ``max(1, 2**14 // m)`` features, each cut in order into blocks of at most
 2**12 candidate thresholds (and at least one feature). Both bounds come
 from the input.
-For each block one gather ``w[orders]`` builds a ``(features, m)`` array,
-one ``cumsum`` along the rows gives every prefix mass, one precomputed flat
-index pulls out every candidate's left mass, and one ``argmin`` over the
-block's candidates (feature-major, thresholds ascending) picks its first
-minimum. Blocks are then reduced in feature order, and a later block
-replaces the best so far only if it is strictly smaller, so ties across a
-block boundary keep the lower feature. Each feature's prefix sums still add
-its sorted masses in the same order, so stumps and errors are bit for bit
-those of a scan one feature at a time. The bounds only keep a block's
+For each block one gather ``w[orders]`` builds a ``(features, m)`` array and
+one ``cumsum`` along the rows gives every prefix mass. In a tie-free block,
+one whose features each have m distinct values, the candidates are the m
+prefix positions of every feature, so their left masses are the first m
+columns of the prefix sums, read in place, and the right masses are the
+totals minus those by broadcasting. A block with ties (0/1 features, say)
+pulls its candidates' left masses out through one precomputed flat index
+per candidate. Then one ``argmin`` over the block's candidates
+(feature-major, thresholds ascending) picks its first minimum; a binary
+search takes it over the smaller of each candidate's two orientation
+errors and decides the winner's orientation once. Blocks are then reduced
+in feature order, and a later block replaces the best so far only if it is
+strictly smaller, so ties across a block boundary keep the lower feature.
+Each feature's prefix sums still add its sorted masses in the same order,
+so stumps and errors are bit for bit those of a scan one feature at a time. The bounds only keep a block's
 working set cache-sized: as one ``(d, m)`` array it spills out of cache. A
 block of several continuous features has about as many candidates as cells,
 and without the candidate bound its per-candidate temporaries are large
@@ -128,10 +134,13 @@ class _FeatureBlock:
     ``orders[r]`` sorts the rows by feature ``start + r``; the constructor
     also takes ``v``, the sorted values. The block's candidates are listed
     feature by feature, each feature's by increasing threshold;
-    ``candidates[r]`` counts feature ``start + r``'s. For candidate c,
-    ``left[c]`` indexes the flattened ``(b, m + 1)`` cumulative masses (row r,
-    column = rows left of the threshold), so ``left[c] // (m + 1)`` is its row
-    and column 0 is the empty left side of the below-minimum threshold.
+    ``candidates[r]`` counts feature ``start + r``'s. A block is tie-free
+    when each of its features has m distinct values: its candidates are then
+    the m prefix positions of every feature, and its masses are read from
+    the cumulative sums in place. Otherwise, for candidate c, ``left[c]``
+    indexes the flattened ``(b, m + 1)`` cumulative masses (row r, column =
+    rows left of the threshold), so ``left[c] // (m + 1)`` is its row and
+    column 0 is the empty left side of the below-minimum threshold.
     """
 
     def __init__(self, start: int, orders: np.ndarray, v: np.ndarray):
@@ -147,26 +156,42 @@ class _FeatureBlock:
         self.thresholds = np.empty(rest.shape[0])
         self.thresholds[first] = v[:, 0] - 1.0
         self.thresholds[rest] = (v[row, pos] + v[row, pos + 1]) / 2.0
-        self.left = np.empty(rest.shape[0], dtype=np.intp)
-        self.left[first] = np.arange(b) * (m + 1)
-        self.left[rest] = row * (m + 1) + pos + 1
+        self.left = None
+        if rest.shape[0] < b * m:
+            self.left = np.empty(rest.shape[0], dtype=np.intp)
+            self.left[first] = np.arange(b) * (m + 1)
+            self.left[rest] = row * (m + 1) + pos + 1
 
     def feature(self, c: int) -> int:
-        return self.start + int(self.left[c]) // (self.orders.shape[1] + 1)
+        m = self.orders.shape[1]
+        if self.left is None:
+            return self.start + c // m
+        return self.start + int(self.left[c]) // (m + 1)
 
     def masses(self, w_pos: np.ndarray, w_neg: np.ndarray):
-        """Positive/negative label mass left and right of every candidate."""
+        """Positive/negative label mass left and right of every candidate.
+
+        Candidate c's masses are element ``.flat[c]`` of each array: one
+        ``(b, m)`` array per side for a tie-free block, one flat array per
+        side otherwise. The right masses are new arrays the caller may
+        overwrite.
+        """
         b, m = self.orders.shape
         sides = []
         for w in (w_pos, w_neg):
             cum = np.empty((b, m + 1))
             cum[:, 0] = 0.0
             np.cumsum(w[self.orders], axis=1, out=cum[:, 1:])
-            left = cum.ravel()[self.left]
-            total = np.repeat(cum[:, m], self.candidates)
+            if self.left is None:
+                left = cum[:, :m]
+                right = cum[:, m:] - left
+            else:
+                left = cum.ravel()[self.left]
+                right = np.repeat(cum[:, m], self.candidates)
+                right -= left
             # prefix sums of masses >= 0 never exceed the total; this clamp
             # only acts on negative weights
-            sides.append((left, np.maximum(total - left, 0.0)))
+            sides.append((left, np.maximum(right, 0.0, out=right)))
         (wp_left, wp_right), (wn_left, wn_right) = sides
         return wp_left, wn_left, wp_right, wn_right
 
@@ -239,17 +264,18 @@ def _best_binary(
         wp_left, wn_left, wp_right, wn_right = block.masses(w_pos, w_neg)
         # orientation a: left -1 / right +1 misclassifies left positives
         # and right negatives; orientation b is the flip.
-        err_a = wp_left + wn_right
-        err_b = wn_left + wp_right
-        use_a = err_a <= err_b
-        errs = np.where(use_a, err_a, err_b)
-        c = int(np.argmin(errs))
-        if errs[c] < best_err:
-            best_err = float(errs[c])
-            best = (block, c, bool(use_a[c]))
+        err_a = np.add(wn_right, wp_left, out=wn_right)
+        err_b = np.add(wp_right, wn_left, out=wp_right)
+        c = int(np.argmin(np.minimum(err_a, err_b)))
+        # a tie between the orientations goes to a
+        use_a = err_a.flat[c] <= err_b.flat[c]
+        err = float(err_a.flat[c] if use_a else err_b.flat[c])
+        if err < best_err:
+            best_err = err
+            best = (block, c, use_a)
     assert best is not None
-    block, c, a = best
-    left, right = (-1.0, 1.0) if a else (1.0, -1.0)
+    block, c, use_a = best
+    left, right = (-1.0, 1.0) if use_a else (1.0, -1.0)
     return Stump(block.feature(c), float(block.thresholds[c]), left, right), max(best_err, 0.0)
 
 
@@ -295,20 +321,24 @@ def _best_confidence(
     best_z = math.inf
     for block in space.blocks:
         wp_left, wn_left, wp_right, wn_right = block.masses(w_pos, w_neg)
-        z = 2.0 * (
-            np.sqrt((wp_left + smoothing) * (wn_left + smoothing))
-            + np.sqrt((wp_right + smoothing) * (wn_right + smoothing))
-        )
+        # 2 * (sqrt((W+ + s)(W- + s)) on the left + the same on the right)
+        z = np.add(wp_left, smoothing)
+        t = np.add(wn_left, smoothing)
+        z *= t
+        np.sqrt(z, out=z)
+        np.add(wp_right, smoothing, out=t)
+        u = np.add(wn_right, smoothing)
+        t *= u
+        np.sqrt(t, out=t)
+        z += t
+        z *= 2.0
         c = int(np.argmin(z))
-        if z[c] < best_z:
-            best_z = float(z[c])
+        if z.flat[c] < best_z:
+            best_z = float(z.flat[c])
             best = (
                 block,
                 c,
-                float(wp_left[c]),
-                float(wn_left[c]),
-                float(wp_right[c]),
-                float(wn_right[c]),
+                *(float(side.flat[c]) for side in (wp_left, wn_left, wp_right, wn_right)),
             )
     assert best is not None
     block, c, wp_l, wn_l, wp_r, wn_r = best

@@ -1,7 +1,7 @@
 """Straightforward reference implementations the fast paths must match bit for bit.
 
 Each function here is the plain form of a library routine that has a
-faster implementation: a masked two-branch sigmoid, line searches that
+faster implementation: a masked two-branch sigmoid and log1pexp, line searches that
 evaluate the first and second derivative in separate passes, per-term
 scoring of one row, per-row, per-draw density queries, the two CSV
 readers that parse every cell with ``float``, and the stump search that
@@ -27,6 +27,13 @@ def sigmoid(x):
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
+    return out if out.ndim else float(out)
+
+
+def log1pexp(x):
+    """ln(1 + exp(x)) by two branches: x + log1p(exp(-|x|)) above 0, log1p(exp(x)) elsewhere."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.where(x > 0.0, x + np.log1p(np.exp(-np.abs(x))), np.log1p(np.exp(np.minimum(x, 0.0))))
     return out if out.ndim else float(out)
 
 

@@ -47,6 +47,9 @@ def test_traced_prior_training(tmp_path, capsys):
     assert {"stumps.search", "boosting.train", "boosting.alpha", "losses.sigmoid",
             "prior.train_with_prior", "prior.objective"} <= names
     assert tracer.counters["stumps.search_calls"] == 3
+    # two continuous features of 30 distinct values: one tie-free block of
+    # 30 candidates per feature, counted through space.thresholds
+    assert tracer.counters["stumps.candidates_scanned"] == 3 * 2 * 30
     assert tracer.counters.get("prior.augmented_rows", 0) == 0
     metrics = tracing.layer_metrics(tracer.spans, tracer.counters)
     assert metrics["stumps.search_s"][0] > 0.0

@@ -310,6 +310,22 @@ class TestEvalCommand:
         assert captured.out == ""
         assert "score must be finite; row 1 has inf" in captured.err
 
+    def test_overflowing_loss_is_data_error(self, tmp_path, capsys):
+        # finite scores of +-1000, one row misclassified: exp(1000) is inf
+        model = tmp_path / "big.txt"
+        model.write_text(
+            "boostkit-model 1\nmode classify\nseed 0\nconfig c\nfeatures 1\n"
+            "loss exponential\nlink sigmoid2f\nalpha-cap 35.0\nterms 1\n"
+            "term 1 1000.0 0 1.5 1.0 -1.0\nend\n"
+        )
+        data = write_dataset(tmp_path, dataset([[0.0], [2.0], [1.0]], [-1.0, -1.0, 1.0]), "d.csv")
+        with np.errstate(over="ignore"):
+            code = main(["eval", "--model", str(model), "--data", data])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{model}: exponential loss on {data} is inf" in captured.err
+
     def test_scores_the_file_once(self, tmp_path, random_csv, capsys, monkeypatch):
         from boostkit.boosting import AdditiveModel
 

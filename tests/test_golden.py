@@ -86,19 +86,24 @@ COMMANDS = (
 )
 
 
-def run_golden(tmp_path, capsys) -> dict[str, str]:
-    """Run every command in tmp_path; return the sha256 of each artifact."""
-    _inputs(tmp_path)
+def _digests(tmp_path, capsys, commands, names) -> dict[str, str]:
+    """Run the commands in tmp_path; the sha256 of each named file and of stdout."""
     stdout = []
-    for argv in COMMANDS:
+    for argv in commands:
         code = main(argv)
         out = capsys.readouterr()
         assert code == 0, (argv, out.err)
         stdout.append(out.out)
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-               for name in GOLDEN if name != "stdout"}
+               for name in names if name != "stdout"}
     digests["stdout"] = hashlib.sha256("".join(stdout).encode("utf-8")).hexdigest()
     return digests
+
+
+def run_golden(tmp_path, capsys) -> dict[str, str]:
+    """Run every command in tmp_path; return the sha256 of each artifact."""
+    _inputs(tmp_path)
+    return _digests(tmp_path, capsys, COMMANDS, GOLDEN)
 
 
 def test_cli_artifacts_byte_identical(tmp_path, capsys, monkeypatch):
@@ -146,13 +151,44 @@ def test_multi_block_search_byte_identical(tmp_path, capsys, monkeypatch):
     score = X[:, 1] + 0.6 * X[:, 5] + 0.3 * X[:, 4] + 0.2 * X[:, 3] + rng.normal(scale=0.5, size=m)
     y = np.where(score > 0.0, 1.0, -1.0)
     _write(tmp_path / "blocks.csv", ("a", "b", "c", "d", "e", "f", "g", "label"), (*X.T, y))
-    stdout = []
-    for argv in BLOCKS_COMMANDS:
-        code = main(argv)
-        out = capsys.readouterr()
-        assert code == 0, (argv, out.err)
-        stdout.append(out.out)
-    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-               for name in BLOCKS_GOLDEN if name != "stdout"}
-    digests["stdout"] = hashlib.sha256("".join(stdout).encode("utf-8")).hexdigest()
+    digests = _digests(tmp_path, capsys, BLOCKS_COMMANDS, BLOCKS_GOLDEN)
     assert {k: v for k, v in digests.items() if v != BLOCKS_GOLDEN[k]} == {}
+
+
+# At m=1000 and d=10 the blocks are {0,1,2,3}, {4,5,6,7} and {8,9}. Features
+# 0-8 are continuous, but feature 1 repeats one value, so only the block
+# {4,...,7} is tie-free; feature 9 takes the values 0 and 1. These digests
+# were recorded with the search that gathered every block's candidate
+# masses through a flat index; the models pick features 1, 2, 5 and 9.
+TIE_FREE_GOLDEN = {
+    "tf_exp.txt": "feff4bb304f626950b7dc9f2b99dcadc06349fc891a78d6cf7be142f4b8bf69f",
+    "tf_exp.txt.stats.csv": "c9236635b4ef2db9fcc8914a7c9ac42993933d06d3609c68635a21937e9753b9",
+    "tf_log.txt": "8d377fbb498ae39c4b4705f57beb293d3ef96e42043f3a6ec97f51f220dd264f",
+    "tf_log.txt.stats.csv": "5f803d1c13e52effe02eb582c90afb6423d256f29b991bf9c5c474727106d8d3",
+    "tf_conf.txt": "e33b7652c163ef4345b98ffba2f9071675893c699800b55a382f111ebce213f2",
+    "tf_conf.txt.stats.csv": "1af6ba08ba1c4932382f0d32a539b63077a6a3c4581ebb99a5ec96956ac35c63",
+    "stdout": "99663c4615a0128c432a3800d1398f71737a68d9549f723f6d3666040358bf02",
+}
+
+TIE_FREE_COMMANDS = (
+    ["train", "--data", "tf.csv", "--rounds", "10", "--loss", "exp",
+     "--stumps", "binary", "--out", "tf_exp.txt"],
+    ["train", "--data", "tf.csv", "--rounds", "6", "--loss", "logistic",
+     "--stumps", "confidence", "--out", "tf_log.txt"],
+    ["train", "--data", "tf.csv", "--rounds", "6", "--loss", "exp",
+     "--stumps", "confidence", "--out", "tf_conf.txt"],
+)
+
+
+def test_tie_free_blocks_byte_identical(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    rng = np.random.default_rng(13)
+    m = 1000
+    X = rng.normal(size=(m, 10))
+    X[7, 1] = X[5, 1]
+    X[:, 9] = rng.integers(0, 2, size=m)
+    score = X[:, 1] + 0.6 * X[:, 5] + 0.4 * X[:, 9] + 0.3 * X[:, 2] + rng.normal(scale=0.5, size=m)
+    y = np.where(score > 0.0, 1.0, -1.0)
+    _write(tmp_path / "tf.csv", (*"abcdefghij", "label"), (*X.T, y))
+    digests = _digests(tmp_path, capsys, TIE_FREE_COMMANDS, TIE_FREE_GOLDEN)
+    assert {k: v for k, v in digests.items() if v != TIE_FREE_GOLDEN[k]} == {}

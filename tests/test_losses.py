@@ -38,19 +38,31 @@ class TestStableHelpers:
         assert np.all(np.diff(sigmoid(x)) > 0)
 
 
-class TestSigmoidOracle:
-    """One exp(-|x|) in place gives the bits of the masked two-branch form."""
+EDGES = (0.0, -0.0, 1e-300, -1e-300, 709.0, -709.0, 745.0, -745.0, 800.0, -800.0,
+         36.0, -36.0, 1.0, -1.0, math.inf, -math.inf, math.nan)
 
-    EDGES = (0.0, -0.0, 1e-300, -1e-300, 709.0, -709.0, 745.0, -745.0, 800.0, -800.0,
-             36.0, -36.0, 1.0, -1.0)
+
+def assert_same_bits(new, old):
+    """Bit-identical arrays, where any NaN matches any NaN."""
+    nan = np.isnan(old)
+    np.testing.assert_array_equal(np.isnan(new), nan)
+    np.testing.assert_array_equal(new[~nan].view(np.int64), old[~nan].view(np.int64))
+
+
+def assert_edges_bit_identical(fn, oracle):
+    for v in EDGES:
+        new, old = fn(v), oracle(v)
+        assert type(new) is float and type(old) is float
+        assert repr(new) == repr(old), v
+    arr = np.array(EDGES)
+    assert_same_bits(fn(arr), oracle(arr))
+
+
+class TestSigmoidOracle:
+    """exp(min(x, 0)) / (1 + exp(-|x|)) gives the bits of the masked two-branch form."""
 
     def test_edge_values_bit_identical(self):
-        for v in self.EDGES:
-            new, old = sigmoid(v), oracles.sigmoid(v)
-            assert type(new) is float and type(old) is float
-            assert repr(new) == repr(old), v
-        arr = np.array(self.EDGES)
-        np.testing.assert_array_equal(sigmoid(arr).view(np.int64), oracles.sigmoid(arr).view(np.int64))
+        assert_edges_bit_identical(sigmoid, oracles.sigmoid)
 
     def test_random_arrays_bit_identical(self, np_rng):
         for scale in (1e-300, 1e-8, 1e-2, 1.0, 10.0, 40.0, 700.0, 1e3):
@@ -72,6 +84,19 @@ class TestSigmoidOracle:
         x = np.array([-3.0, 0.0, 3.0])
         sigmoid(x)
         np.testing.assert_array_equal(x, [-3.0, 0.0, 3.0])
+
+
+class TestLog1pexpOracle:
+    """log1p(exp(-|x|)) + max(x, 0) gives the bits of the two-branch form."""
+
+    def test_edge_values_bit_identical(self):
+        assert_edges_bit_identical(log1pexp, oracles.log1pexp)
+
+    def test_random_sign_arrays_bit_identical(self, np_rng):
+        for m in (300, 5000, 100_000):
+            for scale in (1e-300, 1e-8, 1.0, 40.0, 800.0):
+                x = np_rng.uniform(0.0, scale, size=m) * np_rng.choice([-1.0, 1.0], size=m)
+                assert_same_bits(log1pexp(x), oracles.log1pexp(x))
 
 
 class TestProbPositive:

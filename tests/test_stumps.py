@@ -396,3 +396,31 @@ class TestBlockSearchOracle:
             D = np_rng.uniform(-0.5, 1.0, size=m)
             space, ref = StumpSearchSpace(X), oracles.StumpSearchSpace(X)
             assert _bits(*_best_binary(space, *_row_masses(D, y))) == _bits(*oracles.best_binary(ref, D, y))
+
+    def test_tie_free_blocks_next_to_blocks_with_ties(self, np_rng):
+        # m=1000: the 2**12 candidate bound cuts the features into blocks
+        # 0-3 (feature 1 repeats one value, so 999 candidates), 4-7 (m
+        # distinct values each: tie-free) and 8-9 (9 takes values 0 and 1)
+        m = 1000
+        X = np_rng.normal(size=(m, 10))
+        X[7, 1] = X[5, 1]
+        X[:, 9] = np_rng.integers(0, 2, size=m)
+        space = StumpSearchSpace(X)
+        layout = [(b.start, len(b.candidates), b.left is None) for b in space.blocks]
+        assert layout == [(0, 4, False), (4, 4, True), (8, 2, False)]
+        assert [len(t) for t in space.thresholds] == [m, m - 1] + [m] * 7 + [2]
+        for j in (1, 2, 3, 5, 9):
+            y = np.where(X[:, j] + 0.3 * np_rng.normal(size=m) > 0.5, 1.0, -1.0)
+            for kind in ("uniform", "random", "spread"):
+                assert_search_matches_oracle(X, y, _distribution(np_rng, m, kind), 1.0 / (2.0 * m))
+
+    @pytest.mark.parametrize("levels", [[None] * 5, [None, 3, None, 2]])
+    def test_orientation_tie_goes_to_left_minus(self, np_rng, levels):
+        # equal masses on both labels of every row: each candidate's two
+        # orientations have bit-identical errors, and the first one wins
+        m = 500
+        X = _features(np_rng, m, levels)
+        w = _distribution(np_rng, m, "random") / 2.0
+        stump, err = _best_binary(StumpSearchSpace(X), w, w.copy())
+        assert (stump.left_output, stump.right_output) == (-1.0, 1.0)
+        assert err == pytest.approx(0.5)
