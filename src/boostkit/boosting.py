@@ -29,7 +29,6 @@ from .stumps import (
     StumpSearchSpace,
     _best_binary,
     _best_confidence,
-    _row_masses,
 )
 
 ALPHA_CAP = 35.0  # |alpha| * max|h| <= 35 keeps exp() inside double range
@@ -374,9 +373,14 @@ class RoundAccounting:
         return self.D
 
     def masses(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-row masses (w_pos, w_neg) of D on labels +1 and -1."""
+        """Per-row masses (w_pos, w_neg) of D on labels +1 and -1.
+
+        Without flip every row's mass sits on its own label, and the masses
+        are D itself for both labels: a search space split by these labels
+        reads each side at its own label's rows only.
+        """
         if self.flip is None:
-            return _row_masses(self.D, self.y)
+            return self.D, self.D
         m = self.y.shape[0]
         own, other = self.D[:m], self.D[m:]
         pos = self.y > 0.0
@@ -449,6 +453,8 @@ def train(
     X, y, m = ds.features, ds.labels, ds.m
     base = _base_weights(ds)
     space = _space if _space is not None else StumpSearchSpace(X)
+    if _flip is None:
+        space = space.split(y)
     smoothing = cfg.stumps.resolve_smoothing(m)
 
     rounds = RoundAccounting(base, y, cfg.loss_kind, _flip)

@@ -297,6 +297,8 @@ def cmd_eval(opt: dict) -> int:
                 f"{opt['model']}: {name} loss on {opt['data']} is {value!r}; "
                 "the model's scores are too large"
             )
+    is_binary = all(s.is_binary for _, s in model.terms)
+    chain = _bound_chain(opt, model, ds) if model.loss_kind == "exponential" and is_binary else None
     print(f"examples {ds.m}")
     print(f"error_rate {error!r}")
     print(f"exponential_loss {exp_loss!r}")
@@ -311,26 +313,41 @@ def cmd_eval(opt: dict) -> int:
     except DataError as exc:
         print(f"margins unavailable: {exc}")
 
-    is_binary = all(s.is_binary for _, s in model.terms)
-    if model.loss_kind == "exponential" and is_binary:
-        # replayed from a uniform distribution; a weight column is ignored
-        rounds = RoundAccounting(np.ones(ds.m), ds.labels, "exponential")
-        stats = []
-        for t, (alpha, stump) in enumerate(model.terms, start=1):
-            h = stump.evaluate_matrix(ds.features)
-            stats.append(rounds.add(t, h, alpha, rounds.error(h)))
-        report = bound_report(stats)
+    if chain is not None:
+        report, stats = chain
         print("bound_chain round epsilon z prod_z prod_sqrt exp_bound train_error")
         for row, s in zip(report.rows, stats):
             print(
                 f"bound_round {row.round} {s.epsilon!r} {s.z!r} {row.prod_z!r} "
                 f"{row.prod_sqrt!r} {row.exp_bound!r} {row.train_error!r}"
             )
-        final = report.rows[-1]
-        if final.train_error > final.prod_z * (1.0 + 1e-9) + 1e-12:
-            raise InvariantError("error rate exceeds the normalizer product bound")
         print(f"bound_chain_ok {str(report.ok).lower()}")
     return 0
+
+
+def _bound_chain(opt: dict, model, ds):
+    """The bound chain of a binary-stump exponential model, replayed on ds.
+
+    Replayed from a uniform distribution; a weight column is ignored. A
+    normalizer of 0 or inf (scores that under- or overflow exp) is a
+    DataError naming the model and data files.
+    """
+    rounds = RoundAccounting(np.ones(ds.m), ds.labels, "exponential")
+    stats = []
+    for t, (alpha, stump) in enumerate(model.terms, start=1):
+        h = stump.evaluate_matrix(ds.features)
+        try:
+            stats.append(rounds.add(t, h, alpha, rounds.error(h)))
+        except InvariantError as exc:
+            raise DataError(
+                f"{opt['model']}: bound-chain replay on {opt['data']}, round {t}: {exc}; "
+                "the model's scores are too large"
+            ) from exc
+    report = bound_report(stats)
+    final = report.rows[-1]
+    if final.train_error > final.prod_z * (1.0 + 1e-9) + 1e-12:
+        raise InvariantError("error rate exceeds the normalizer product bound")
+    return report, stats
 
 
 def cmd_cde_train(opt: dict) -> int:

@@ -16,38 +16,57 @@ left_output <= right_output. Any parallel or reordered scan must reduce with
 the same rule so results match the sequential one.
 
 The search works on per-row label masses: ``w_pos[i]`` and ``w_neg[i]``
-are the masses on labels +1 and -1 at row i. A distribution over labeled
-rows puts each row's mass on its own label (``w_pos = D`` on positive rows,
-0 elsewhere, and ``w_neg = D - w_pos``); training with a prior also puts
-mass on the other label of the same row. Features are sorted once per
+are the masses on labels +1 and -1 at row i. Features are sorted once per
 training run and scanned in blocks of consecutive features: groups of
 ``max(1, 2**14 // m)`` features, each cut in order into blocks of at most
 2**12 candidate thresholds (and at least one feature). Both bounds come
 from the input.
-For each block one gather ``w[orders]`` builds a ``(features, m)`` array and
-one ``cumsum`` along the rows gives every prefix mass. In a tie-free block,
-one whose features each have m distinct values, the candidates are the m
-prefix positions of every feature, so their left masses are the first m
-columns of the prefix sums, read in place, and the right masses are the
-totals minus those by broadcasting. A block with ties (0/1 features, say)
-pulls its candidates' left masses out through one precomputed flat index
-per candidate. Then one ``argmin`` over the block's candidates
-(feature-major, thresholds ascending) picks its first minimum; a binary
-search takes it over the smaller of each candidate's two orientation
+
+Each block folds each label's masses over a row set of its own. A
+distribution D over labeled rows puts each row's mass on its own label
+only, so ``StumpSearchSpace.split`` gives the +1 side the positive rows and
+the -1 side the negative rows, and D itself serves as both ``w_pos`` and
+``w_neg``. Every feature holds the same rows, so per block and side one
+gather ``w[orders]`` builds a ``(features, n)`` array for the side's n rows
+and one ``cumsum`` along the rows gives every prefix mass; a count map,
+fixed for the training run, sends each candidate to the column of its
+side's rows left of its threshold. Training with a prior puts mass on both
+labels of a row, so it searches the unsplit space, where both sides hold
+every row. A side that holds every row reads a tie-free block's prefix sums
+in place (a block whose features each have m distinct values, so that the
+candidates are the m prefix positions of every feature), and the right
+masses are the totals minus those by broadcasting; a block with ties (0/1
+features, say) pulls its candidates' left masses out through one
+precomputed flat index per candidate. Then one ``argmin`` over the block's
+candidates (feature-major, thresholds ascending) picks its first minimum; a
+binary search takes it over the smaller of each candidate's two orientation
 errors and decides the winner's orientation once. Blocks are then reduced
 in feature order, and a later block replaces the best so far only if it is
 strictly smaller, so ties across a block boundary keep the lower feature.
-Each feature's prefix sums still add its sorted masses in the same order,
-so stumps and errors are bit for bit those of a scan one feature at a time. The bounds only keep a block's
-working set cache-sized: as one ``(d, m)`` array it spills out of cache. A
-block of several continuous features has about as many candidates as cells,
-and without the candidate bound its per-candidate temporaries are large
-enough that the C allocator hands them back to the OS and faults them in
-again on every round.
+
+Stumps and errors are bit for bit those of a scan one feature at a time
+over every row. Each feature's prefix sums add its sorted masses in the
+same order; a split side only skips the other label's rows, whose mass on
+its label is +0.0. Now x + (-0.0) = x always, and x + (+0.0) = x unless x
+is -0.0, so a skipped add can only turn a running sum of -0.0 into +0.0:
+sums of either kind agree up to the sign of a zero. No such sign reaches a
+result: comparisons treat -0.0 and +0.0 as equal, a confidence output
+depends on a side's mass only through ``w + s`` and the tests
+``num == den`` and ``== 0``, and an error of -0.0 needs a side total of
+-0.0, and then the first candidate of every block has an error of +0.0,
+which comes first. So plain training does one gather and one add per
+(feature, row) per round, across both sides, and prior training two.
+
+The bounds only keep a block's working set cache-sized: as one ``(d, m)``
+array it spills out of cache. A block of several continuous features has
+about as many candidates as cells, and without the candidate bound its
+per-candidate temporaries are large enough that the C allocator hands them
+back to the OS and faults them in again on every round.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -136,11 +155,19 @@ class _FeatureBlock:
     feature by feature, each feature's by increasing threshold;
     ``candidates[r]`` counts feature ``start + r``'s. A block is tie-free
     when each of its features has m distinct values: its candidates are then
-    the m prefix positions of every feature, and its masses are read from
-    the cumulative sums in place. Otherwise, for candidate c, ``left[c]``
-    indexes the flattened ``(b, m + 1)`` cumulative masses (row r, column =
-    rows left of the threshold), so ``left[c] // (m + 1)`` is its row and
-    column 0 is the empty left side of the below-minimum threshold.
+    the m prefix positions of every feature. Otherwise, for candidate c,
+    ``left[c]`` indexes the flattened ``(b, m + 1)`` cumulative masses (row
+    r, column = rows left of the threshold), so ``left[c] // (m + 1)`` is its
+    row and column 0 is the empty left side of the below-minimum threshold.
+
+    ``sides`` holds, for label +1 and then -1, the rows whose masses that
+    side folds, as ``(orders, index)``: ``orders[r]`` lists them in feature
+    ``start + r``'s sorted order, and ``index`` sends each candidate to its
+    column of the side's ``(b, n + 1)`` cumulative masses, flattened (a
+    ``(b, m)`` array for a tie-free block, one entry per candidate
+    otherwise). A side that holds every row needs no map of its own: it
+    reads a tie-free block's prefix sums in place (``index`` None) and
+    shares ``left`` otherwise.
     """
 
     def __init__(self, start: int, orders: np.ndarray, v: np.ndarray):
@@ -161,6 +188,7 @@ class _FeatureBlock:
             self.left = np.empty(rest.shape[0], dtype=np.intp)
             self.left[first] = np.arange(b) * (m + 1)
             self.left[rest] = row * (m + 1) + pos + 1
+        self.sides = ((orders, self.left),) * 2
 
     def feature(self, c: int) -> int:
         m = self.orders.shape[1]
@@ -168,26 +196,54 @@ class _FeatureBlock:
             return self.start + c // m
         return self.start + int(self.left[c]) // (m + 1)
 
+    def split(self, pos: np.ndarray, n_pos: int) -> _FeatureBlock:
+        """This block with each label side holding its own label's rows only.
+
+        ``pos`` marks the rows labeled +1, ``n_pos`` of them. Every feature
+        holds the same rows, so a side of n rows is a ``(b, n)`` order, and
+        its count map is the running count of its rows along each feature's
+        sorted order, read at each candidate's column.
+        """
+        b, m = self.orders.shape
+        held = pos[self.orders]
+        sides = []
+        for mask, n in ((held, n_pos), (~held, m - n_pos)):
+            if n == m:
+                sides.append(self.sides[0])
+                continue
+            # count[r, p] = r * (n + 1) + the side's rows among feature r's
+            # first p sorted rows: where their sum sits in the side's
+            # flattened (b, n + 1) prefix sums
+            count = np.empty((b, m + 1), dtype=np.intp)
+            count[:, 0] = np.arange(b) * (n + 1)
+            np.cumsum(mask, axis=1, out=count[:, 1:])
+            count[:, 1:] += count[:, :1]
+            index = count[:, :m].copy() if self.left is None else count.ravel()[self.left]
+            sides.append((self.orders[mask].reshape(b, n), index))
+        block = copy.copy(self)
+        block.sides = tuple(sides)
+        return block
+
     def masses(self, w_pos: np.ndarray, w_neg: np.ndarray):
         """Positive/negative label mass left and right of every candidate.
 
-        Candidate c's masses are element ``.flat[c]`` of each array: one
-        ``(b, m)`` array per side for a tie-free block, one flat array per
-        side otherwise. The right masses are new arrays the caller may
-        overwrite.
+        Each side reads its mass vector at its own rows only. Candidate c's
+        masses are element ``.flat[c]`` of each array: one ``(b, m)`` array
+        per side for a tie-free block, one flat array per side otherwise.
+        The right masses are new arrays the caller may overwrite.
         """
-        b, m = self.orders.shape
+        b = self.orders.shape[0]
         sides = []
-        for w in (w_pos, w_neg):
-            cum = np.empty((b, m + 1))
+        for w, (orders, index) in zip((w_pos, w_neg), self.sides):
+            n = orders.shape[1]
+            cum = np.empty((b, n + 1))
             cum[:, 0] = 0.0
-            np.cumsum(w[self.orders], axis=1, out=cum[:, 1:])
+            np.cumsum(w[orders], axis=1, out=cum[:, 1:])
+            left = cum[:, :n] if index is None else cum.ravel()[index]
             if self.left is None:
-                left = cum[:, :m]
-                right = cum[:, m:] - left
+                right = cum[:, n:] - left
             else:
-                left = cum.ravel()[self.left]
-                right = np.repeat(cum[:, m], self.candidates)
+                right = np.repeat(cum[:, n], self.candidates)
                 right -= left
             # prefix sums of masses >= 0 never exceed the total; this clamp
             # only acts on negative weights
@@ -230,11 +286,18 @@ class StumpSearchSpace:
             for t in np.split(block.thresholds, np.cumsum(block.candidates)[:-1])
         ]
 
+    def split(self, labels: np.ndarray) -> StumpSearchSpace:
+        """This space with each label side folding its own label's rows only.
 
-def _row_masses(D: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row positive and negative label masses of a distribution."""
-    w_pos = np.where(y > 0.0, D, 0.0)
-    return w_pos, D - w_pos
+        For masses that sit on each row's own label alone, such as one
+        distribution D over labeled rows, which can then be passed as both
+        ``w_pos`` and ``w_neg``. The sort and the candidates are shared.
+        """
+        pos = np.asarray(labels) > 0.0
+        n_pos = int(np.count_nonzero(pos))
+        space = copy.copy(self)
+        space.blocks = tuple(block.split(pos, n_pos) for block in self.blocks)
+        return space
 
 
 def _require_classification(ds: Dataset) -> None:
@@ -251,8 +314,8 @@ def best_binary_stump(ds: Dataset, D: np.ndarray) -> tuple[Stump, float]:
     _require_classification(ds)
     D = np.asarray(D, dtype=np.float64)
     check_distribution(D)
-    space = StumpSearchSpace(ds.features)
-    return _best_binary(space, *_row_masses(D, ds.labels))
+    space = StumpSearchSpace(ds.features).split(ds.labels)
+    return _best_binary(space, D, D)
 
 
 def _best_binary(
@@ -309,9 +372,9 @@ def best_confidence_stump(
     _require_classification(ds)
     D = np.asarray(D, dtype=np.float64)
     check_distribution(D)
-    space = StumpSearchSpace(ds.features)
+    space = StumpSearchSpace(ds.features).split(ds.labels)
     s = StumpSearchConfig(mode="confidence", smoothing=smoothing).resolve_smoothing(ds.m)
-    return _best_confidence(space, *_row_masses(D, ds.labels), s)
+    return _best_confidence(space, D, D, s)
 
 
 def _best_confidence(

@@ -24,6 +24,17 @@ def load_tracing():
     return module
 
 
+def traced(argv):
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    tracing.install(tracer)
+    try:
+        code = tracer.span("cli.train", 0, main, argv)
+    finally:
+        tracer.uninstall()
+    return code, tracer, tracing
+
+
 def test_traced_prior_training(tmp_path, capsys):
     rng = np.random.default_rng(5)
     X = rng.uniform(-1.0, 1.0, size=(30, 2))
@@ -35,13 +46,7 @@ def test_traced_prior_training(tmp_path, capsys):
     argv = ["train", "--data", str(data), "--rounds", "3", "--stumps", "confidence",
             "--prior-col", "prior", "--eta", "2", "--out", str(tmp_path / "m.txt")]
 
-    tracing = load_tracing()
-    tracer = tracing.Tracer()
-    tracing.install(tracer)
-    try:
-        code = tracer.span("cli.train", 0, main, argv)
-    finally:
-        tracer.uninstall()
+    code, tracer, tracing = traced(argv)
     assert code == 0, capsys.readouterr().err
     names = {span[1] for span in tracer.spans}
     assert {"stumps.search", "boosting.train", "boosting.alpha", "losses.sigmoid",
@@ -53,3 +58,24 @@ def test_traced_prior_training(tmp_path, capsys):
     assert tracer.counters.get("prior.augmented_rows", 0) == 0
     metrics = tracing.layer_metrics(tracer.spans, tracer.counters)
     assert metrics["stumps.search_s"][0] > 0.0
+
+
+def test_traced_cde_training_sorts_once(tmp_path, capsys):
+    # 3 breakpoints of 4 rounds over 2 continuous features and one 0/1
+    # feature: one sort shared by every breakpoint, whose label split
+    # leaves the candidates scanned per search at 40 + 40 + 2
+    rng = np.random.default_rng(6)
+    m = 40
+    X = np.column_stack([rng.uniform(-1.0, 1.0, size=(m, 2)), rng.integers(0, 2, size=m)])
+    y = X[:, 0] + 0.5 * X[:, 2] + rng.normal(scale=0.3, size=m)
+    rows = ["a,b,c,label"] + [",".join(repr(float(v)) for v in r) for r in zip(*X.T, y)]
+    data = tmp_path / "reg.csv"
+    data.write_text("\n".join(rows) + "\n")
+    argv = ["cde", "train", "--data", str(data), "--k", "3", "--rounds", "4",
+            "--out", str(tmp_path / "cde.txt")]
+
+    code, tracer, _ = traced(argv)
+    assert code == 0, capsys.readouterr().err
+    assert tracer.counters["stumps.space_builds"] == 1
+    assert tracer.counters["stumps.search_calls"] == 3 * 4
+    assert tracer.counters["stumps.candidates_scanned"] == 3 * 4 * (m + m + 2)

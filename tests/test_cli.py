@@ -326,6 +326,23 @@ class TestEvalCommand:
         assert captured.out == ""
         assert f"{model}: exponential loss on {data} is inf" in captured.err
 
+    def test_underflowing_normalizer_is_data_error(self, tmp_path, capsys):
+        # scores of +-1000, every row right: exp(-1000) is 0, so the replayed
+        # bound chain's first normalizer is 0.0
+        model = tmp_path / "big.txt"
+        model.write_text(
+            "boostkit-model 1\nmode classify\nseed 0\nconfig c\nfeatures 1\n"
+            "loss exponential\nlink sigmoid2f\nalpha-cap 35.0\nterms 1\n"
+            "term 1 1000.0 0 1.5 1.0 -1.0\nend\n"
+        )
+        data = tmp_path / "d.csv"
+        data.write_text("a,label\n0.0,1\n2.0,-1\n1.0,1\n")
+        code = main(["eval", "--model", str(model), "--data", str(data)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{model}: bound-chain replay on {data}, round 1: distribution normalizer is 0.0" in captured.err
+
     def test_scores_the_file_once(self, tmp_path, random_csv, capsys, monkeypatch):
         from boostkit.boosting import AdditiveModel
 

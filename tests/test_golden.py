@@ -192,3 +192,68 @@ def test_tie_free_blocks_byte_identical(tmp_path, capsys, monkeypatch):
     _write(tmp_path / "tf.csv", (*"abcdefghij", "label"), (*X.T, y))
     digests = _digests(tmp_path, capsys, TIE_FREE_COMMANDS, TIE_FREE_GOLDEN)
     assert {k: v for k, v in digests.items() if v != TIE_FREE_GOLDEN[k]} == {}
+
+
+# A pool of 0/1 "word" features: every block has ties, and each retrain
+# searches sides split by label. Exponential loss with confidence-rated
+# stumps, both strategies. Digests recorded with the search that folded each
+# label's masses over every row.
+WORDS_GOLDEN = {
+    "words.csv": "f79f7592dba4fc50fba7f38b89b6888c62576461d06b6ab14c5f3505795cd8c8",
+    "stdout": "8aaf15d42232cca9604121cf517d7dfa1900596e17d5129905b9f8c809be0615",
+}
+
+WORDS_COMMANDS = (
+    ["active", "--data", "words_pool.csv", "--test-fraction", "0.25", "--strategy", "both",
+     "--init", "20", "--batch", "10", "--iterations", "4", "--seeds", "0,1",
+     "--rounds", "6", "--loss", "exp", "--stumps", "confidence", "--out", "words.csv"],
+)
+
+
+def test_word_pool_active_byte_identical(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    rng = np.random.default_rng(17)
+    m, d = 240, 12
+    X = (rng.uniform(size=(m, d)) < np.linspace(0.05, 0.5, d)).astype(np.float64)
+    score = X[:, 0] + X[:, 3] - X[:, 7] + 0.5 * X[:, 10] + rng.normal(scale=0.4, size=m)
+    y = np.where(score > 0.3, 1.0, -1.0)
+    _write(tmp_path / "words_pool.csv", (*(f"w{j}" for j in range(d)), "label"), (*X.T, y))
+    digests = _digests(tmp_path, capsys, WORDS_COMMANDS, WORDS_GOLDEN)
+    assert {k: v for k, v in digests.items() if v != WORDS_GOLDEN[k]} == {}
+
+
+# Weights of 0.0 and -0.0 on a fifth of the rows: those rows carry no mass
+# on either side of the search, and a -0.0 keeps its sign through the
+# distribution. Digests recorded with the search that folded each label's
+# masses over every row.
+ZERO_WEIGHT_GOLDEN = {
+    "zw_exp.txt": "be5555afed6e3b46f6e44b24304ca1594897fc419228b953ef4e81e4b3595859",
+    "zw_exp.txt.stats.csv": "ea15cbc693cf14bea616c2272fc99e7ffd8ff5f82ff6e22c6f3b977478cf42fb",
+    "zw_log.txt": "34039502904678b8eae8563f975621d018e700070d8d14af271fbbf3d8ef19d2",
+    "zw_log.txt.stats.csv": "c7dcf3e1e648d9aecdd2ad513126caad964a6ea5986ae3c7fecaced5b61c844f",
+    "zw_conf.txt": "9304d79b595068a3705794082ecc45d7b61cfd9f9f449bb4e72712425e5c0b27",
+    "zw_conf.txt.stats.csv": "2360e98709e83d6c0b9fd6b47b9cb4ae30e0b7dc6e391de5aa104a3c34f14be6",
+    "stdout": "e213d96ae37234c75616b920350c6629c65829094ccad8e4579dc99cccee62d2",
+}
+
+ZERO_WEIGHT_COMMANDS = (
+    ["train", "--data", "zw.csv", "--rounds", "8", "--loss", "exp",
+     "--stumps", "binary", "--out", "zw_exp.txt"],
+    ["train", "--data", "zw.csv", "--rounds", "6", "--loss", "logistic",
+     "--stumps", "confidence", "--out", "zw_log.txt"],
+    ["train", "--data", "zw.csv", "--rounds", "6", "--loss", "exp",
+     "--stumps", "confidence", "--alpha", "line-search", "--out", "zw_conf.txt"],
+)
+
+
+def test_zero_weight_rows_byte_identical(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    rng = np.random.default_rng(19)
+    m = 90
+    X = np.column_stack([rng.uniform(-1.0, 1.0, size=(m, 2)), rng.integers(0, 3, size=m)])
+    y = np.where(X[:, 0] + 0.4 * X[:, 2] + rng.normal(scale=0.4, size=m) > 0.4, 1.0, -1.0)
+    weight = rng.uniform(0.5, 2.0, size=m)
+    weight[rng.permutation(m)[:18]] = np.tile([0.0, -0.0], 9)
+    _write(tmp_path / "zw.csv", ("a", "b", "c", "label", "weight"), (*X.T, y, weight))
+    digests = _digests(tmp_path, capsys, ZERO_WEIGHT_COMMANDS, ZERO_WEIGHT_GOLDEN)
+    assert {k: v for k, v in digests.items() if v != ZERO_WEIGHT_GOLDEN[k]} == {}

@@ -15,7 +15,6 @@ from boostkit.stumps import (
     StumpSearchSpace,
     _best_binary,
     _best_confidence,
-    _row_masses,
     best_binary_stump,
     best_confidence_stump,
     confidence_output,
@@ -270,14 +269,24 @@ def _outcome(search, *args):
     return _bits(*result) if isinstance(result, tuple) else _bits(result)
 
 
+def _row_masses(D, y):
+    """Per-row positive and negative label masses of a distribution."""
+    w_pos = np.where(y > 0.0, D, 0.0)
+    return w_pos, D - w_pos
+
+
 def assert_search_matches_oracle(X, y, D, smoothing):
-    """Block search and the per-feature loop agree bit for bit, errors included."""
+    """Block search and the per-feature loop agree bit for bit, errors included,
+    both with every row on each side and with the space split by label."""
     space, ref = StumpSearchSpace(X), oracles.StumpSearchSpace(X)
     assert [len(t) for t in space.thresholds] == [len(t) for t in ref.thresholds]
-    assert _outcome(_best_binary, space, *_row_masses(D, y)) == _outcome(oracles.best_binary, ref, D, y)
-    assert _outcome(_best_confidence, space, *_row_masses(D, y), smoothing) == _outcome(
-        oracles.best_confidence, ref, D, y, smoothing
-    )
+    binary = _outcome(oracles.best_binary, ref, D, y)
+    confidence = _outcome(oracles.best_confidence, ref, D, y, smoothing)
+    assert _outcome(_best_binary, space, *_row_masses(D, y)) == binary
+    assert _outcome(_best_confidence, space, *_row_masses(D, y), smoothing) == confidence
+    split = space.split(y)
+    assert _outcome(_best_binary, split, D, D) == binary
+    assert _outcome(_best_confidence, split, D, D, smoothing) == confidence
 
 
 def _features(rng, m, levels):
@@ -424,3 +433,123 @@ class TestBlockSearchOracle:
         stump, err = _best_binary(StumpSearchSpace(X), w, w.copy())
         assert (stump.left_output, stump.right_output) == (-1.0, 1.0)
         assert err == pytest.approx(0.5)
+
+
+def _augmented(X, w_pos, w_neg):
+    """Each row twice, once per label, for the oracle: masses w_pos then w_neg."""
+    m = X.shape[0]
+    return np.vstack([X, X]), np.concatenate((w_pos, w_neg)), np.concatenate((np.ones(m), -np.ones(m)))
+
+
+def assert_masses_match_oracle(space, ref, D, y):
+    """Every candidate's four side masses equal the oracle's (zeros of either sign equal)."""
+    for block in space.blocks:
+        per_feature = [
+            np.split(np.ravel(side), np.cumsum(block.candidates)[:-1])
+            for side in block.masses(D, D)
+        ]
+        for r, masses in enumerate(zip(*per_feature)):
+            expected = oracles._side_masses(ref, block.start + r, D, y)
+            assert all(np.array_equal(a, b) for a, b in zip(masses, expected))
+
+
+class TestLabelSplitOracle:
+    """Sides split by label against the per-feature loop (tests/oracles.py).
+
+    A split side sums its own label's masses only. The sums it skips add the
+    other label's +0.0, which changes a running sum only when it is -0.0, so
+    prefix sums agree up to the sign of a zero; signed zeros are drawn here
+    to show that no such sign reaches a stump, an error or an error text.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_drawn_data(self, data):
+        m = data.draw(st.integers(1, 14))
+        d = data.draw(st.integers(2, 5))
+        cols = []
+        for _ in range(d):
+            kind = data.draw(st.sampled_from(["tie-free", "tied", "mixed"]))
+            if kind == "tie-free":
+                col = np.arange(m) * 0.5 - 1.0
+                perm = data.draw(st.permutations(range(m)))
+                col = col[list(perm)]
+            else:
+                grid = [0.0, 1.0] if kind == "tied" else [-1.0, 0.0, 0.5, 2.0]
+                col = np.array(data.draw(st.lists(st.sampled_from(grid) | st.floats(-10, 10),
+                                                  min_size=m, max_size=m)))
+            cols.append(col)
+        X = np.column_stack(cols)
+        labels = data.draw(st.sampled_from(["both", "both", "+1 only", "-1 only"]))
+        if labels == "both":
+            y = np.array(data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=m, max_size=m)))
+        else:
+            y = np.full(m, 1.0 if labels == "+1 only" else -1.0)
+        weight = st.sampled_from([0.0, -0.0, 5e-324, 1.0]) | st.floats(0.0, 1.0)
+        D = np.array(data.draw(st.lists(weight, min_size=m, max_size=m)))
+        if D.sum() > 0.0:
+            D = D / D.sum()  # keeps the sign of each zero
+        smoothing = data.draw(st.sampled_from([0.0, 0.01, 1.0 / (2.0 * m)]))
+        # blocks of up to d features (at these sizes the default bounds put
+        # every feature in one block), cut again by a drawn candidate bound
+        cells = m * data.draw(st.sampled_from(range(d, 0, -1)))
+        candidates = data.draw(st.just(d * m) | st.integers(1, d * m))
+        with mock.patch.multiple(stumps, _BLOCK_CELLS=cells, _BLOCK_CANDIDATES=candidates):
+            space, ref = StumpSearchSpace(X), oracles.StumpSearchSpace(X)
+            split = space.split(y)
+            assert_masses_match_oracle(split, ref, D, y)
+            assert _outcome(_best_binary, split, D, D) == _outcome(oracles.best_binary, ref, D, y)
+            assert _outcome(_best_confidence, split, D, D, smoothing) == _outcome(
+                oracles.best_confidence, ref, D, y, smoothing
+            )
+            if data.draw(st.booleans()):
+                # prior-style masses on both labels of a row: full sides,
+                # against the oracle on each row once per label
+                w_neg = np.array(data.draw(st.lists(weight, min_size=m, max_size=m)))
+                Xa, Da, ya = _augmented(X, D, w_neg)
+                ref = oracles.StumpSearchSpace(Xa)
+                assert _outcome(_best_binary, space, D, w_neg) == _outcome(oracles.best_binary, ref, Da, ya)
+                assert _outcome(_best_confidence, space, D, w_neg, smoothing) == _outcome(
+                    oracles.best_confidence, ref, Da, ya, smoothing
+                )
+
+    def test_sides_hold_their_label_rows(self):
+        X = np.array([[0.0, 3.0], [1.0, 2.0], [1.0, 1.0], [2.0, 0.0]])
+        y = np.array([1.0, -1.0, -1.0, 1.0])
+        (block,) = StumpSearchSpace(X).blocks
+        assert [o.shape for o, _ in block.sides] == [(2, 4), (2, 4)]
+        (split,) = StumpSearchSpace(X).split(y).blocks
+        (pos, pos_index), (neg, neg_index) = split.sides
+        assert pos.tolist() == [[0, 3], [3, 0]] and neg.tolist() == [[1, 2], [2, 1]]
+        # feature 0 has the candidates below 0, 0.5 and 1.5; feature 1 is tie-free
+        assert pos_index.tolist() == [0, 1, 1, 3, 4, 4, 4] and neg_index.tolist() == [0, 0, 2, 3, 3, 4, 5]
+
+    def test_a_side_holding_every_row_reads_in_place(self):
+        X = np.column_stack([np.arange(6.0), np.arange(6.0)[::-1]])
+        (block,) = StumpSearchSpace(X).split(np.ones(6)).blocks
+        (pos, pos_index), (neg, neg_index) = block.sides
+        assert pos.shape == (2, 6) and pos_index is None
+        assert neg.shape == (2, 0) and neg_index.tolist() == [[0] * 6, [1] * 6]
+
+
+def test_prior_training_searches_full_sides(monkeypatch):
+    # plain training folds each label over its own rows; masses on both
+    # labels of a row (logistic training with flipped-label masses) keep
+    # every row on both sides
+    from boostkit import boosting
+
+    rng = np.random.default_rng(3)
+    ds = dataset(rng.normal(size=(30, 2)), np.where(rng.uniform(size=30) < 0.4, 1.0, -1.0))
+    seen = []
+    real = boosting._best_confidence
+
+    def spy(space, w_pos, w_neg, s):
+        seen.append([o.shape[1] for block in space.blocks for o, _ in block.sides])
+        return real(space, w_pos, w_neg, s)
+
+    monkeypatch.setattr(boosting, "_best_confidence", spy)
+    cfg = boosting.BoostConfig(rounds=1, loss_kind="logistic", stumps=StumpSearchConfig("confidence"))
+    boosting.train(ds, cfg)
+    boosting.train(ds, cfg, _flip=np.full(30, 0.5))
+    n_pos = int(np.sum(ds.labels > 0.0))
+    assert seen == [[n_pos, 30 - n_pos], [30, 30]]
