@@ -100,9 +100,6 @@ class AdditiveModel:
         h = np.where(x[feature] <= threshold, left, right)
         return float(np.cumsum(np.concatenate(([0.0], h)))[-1])
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return sign_pm1(self.score(X))
-
 
 @dataclass
 class RoundStats:

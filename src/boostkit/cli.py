@@ -30,15 +30,10 @@ from .boosting import (
 )
 from .boosting import update_distribution  # noqa: F401  the benchmark tracer patches it here
 from .config import load_config
-from .data import load_csv, load_features_csv, split
+from .data import atomic_write_text, load_csv, load_features_csv, split
 from .errors import BoostkitError, DataError, InvariantError, UsageError
 from .losses import check_finite_scores, loss_values, prob_positive
-from .model_io import (
-    atomic_write_text,
-    load_model,
-    save_classifier,
-    save_density,
-)
+from .model_io import load_model, save_classifier, save_density
 from .prior import PriorConfig, load_rule_table, train_with_prior
 from .rng import RngState
 from .stumps import StumpSearchConfig
@@ -260,7 +255,8 @@ def _model_and_data(opt: dict, mode: str, labeled: bool = False):
     else:
         data = X = load_features_csv(opt["data"], label_column=opt["label_col"])
     if X.shape[1] != loaded.features:
-        raise DataError(f"expected {loaded.features} features, got {X.shape[1]}")
+        raise DataError(f"{opt['data']}: expected {loaded.features} features for model {path}, "
+                        f"got {X.shape[1]}")
     return loaded, data
 
 

@@ -20,8 +20,10 @@ All remaining columns are features, in file order.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import os
+import tempfile
 import warnings
 from dataclasses import dataclass
 
@@ -310,26 +312,33 @@ def load_features_csv(path: str, label_column: str = "label") -> np.ndarray:
     return _read_csv(path, lambda header: ([h for h in header if h not in skip], [], None))[1]
 
 
+def atomic_write_text(path: str, text: str) -> None:
+    """Write ``text`` as UTF-8, line ends untranslated, to a temp file in the
+    target directory and rename it into place, so that an interrupted write
+    never leaves a partial file."""
+    directory = os.path.dirname(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".boostkit-", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def save_csv(ds: Dataset, path: str) -> None:
     """Write a Dataset as CSV; reloading it yields an identical Dataset.
 
-    Floats use Python's shortest round-trip representation.
+    Floats use Python's shortest round-trip representation; lines end in
+    CRLF, as csv.writer writes them.
     """
-    header = list(ds.feature_names) + [ds.label_name]
-    if ds.prior is not None:
-        header.append(PRIOR_COLUMN)
-    if ds.weights is not None:
-        header.append(WEIGHT_COLUMN)
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(ds.m):
-            row = [repr(float(v)) for v in ds.features[i]]
-            row.append(repr(float(ds.labels[i])))
-            if ds.prior is not None:
-                row.append(repr(float(ds.prior[i])))
-            if ds.weights is not None:
-                row.append(repr(float(ds.weights[i])))
-            writer.writerow(row)
-    os.replace(tmp, path)
+    named = [(n, c) for n, c in ((PRIOR_COLUMN, ds.prior), (WEIGHT_COLUMN, ds.weights))
+             if c is not None]
+    columns = [*ds.features.T, ds.labels, *(c for _, c in named)]
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow([*ds.feature_names, ds.label_name, *(n for n, _ in named)])
+    writer.writerows([repr(float(v)) for v in row] for row in zip(*columns))
+    atomic_write_text(path, text.getvalue())

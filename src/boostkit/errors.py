@@ -1,11 +1,13 @@
-"""Exception types shared across the package, and the error for bytes that
-are not UTF-8.
+"""Exception types shared across the package, and the reader of small text
+files that names the path and line of every error raised while reading.
 
 The CLI maps these onto process exit codes: usage errors exit 1, data
 errors exit 2, internal invariant violations exit 3.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 
 class BoostkitError(Exception):
@@ -49,10 +51,34 @@ def not_utf8(path: str, error: type[BoostkitError] = DataError) -> BoostkitError
     return error(f"{path}: not valid UTF-8")
 
 
-def utf8_lines(path: str, error: type[BoostkitError] = DataError) -> list[str]:
-    """The lines of a small UTF-8 text file, or :func:`not_utf8`'s error."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.readlines()
-    except UnicodeDecodeError:
-        raise not_utf8(path, error) from None
+class TextLines:
+    """The non-blank lines of a small UTF-8 text file, without their line ends.
+
+    ``with TextLines(path) as lines`` iterates over them. A
+    :class:`BoostkitError` raised in the block comes out as the same type
+    with ``<path>: line <N>: `` in front, N the line last handed out, or the
+    file's last line once all are. Bytes that are not UTF-8 raise
+    :func:`not_utf8`'s ``error`` before any line is handed out.
+    """
+
+    def __init__(self, path: str, error: type[BoostkitError] = DataError):
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                self.lines = fh.readlines()
+        except UnicodeDecodeError:
+            raise not_utf8(path, error) from None
+        self.path = path
+        self.line_no = 0
+
+    def __iter__(self) -> Iterator[str]:
+        for self.line_no, line in enumerate(self.lines, start=1):
+            if line.strip():
+                yield line.rstrip("\n")
+
+    def __enter__(self) -> Iterator[str]:
+        return iter(self)
+
+    def __exit__(self, kind, exc, tb) -> None:
+        if isinstance(exc, BoostkitError):
+            where = f"line {self.line_no}: " if self.line_no else ""  # an empty file has none
+            exc.args = (f"{self.path}: {where}{exc}",)

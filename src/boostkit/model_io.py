@@ -38,15 +38,15 @@ Density file replaces the loss/link/terms block with:
 from __future__ import annotations
 
 import math
-import os
-import tempfile
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .boosting import ALPHA_CAP, AdditiveModel
 from .density import Breakpoints, ConditionalDensityModel
-from .errors import DataError, utf8_lines
+from .data import atomic_write_text
+from .errors import DataError, TextLines
 from .losses import LINKS
 from .stumps import Stump
 
@@ -70,19 +70,6 @@ class LoadedModel:
 
 def _fmt(x: float) -> str:
     return repr(float(x))
-
-
-def atomic_write_text(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".boostkit-", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _term_lines(model: AdditiveModel) -> list[str]:
@@ -133,131 +120,114 @@ def save_density(
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-class _LineReader:
-    def __init__(self, path: str, lines: list[str]):
-        self.path = path
-        self.lines = lines
-        self.pos = 0
-
-    def next(self, expect_key: str) -> list[str]:
-        if self.pos >= len(self.lines):
-            raise DataError(f"{self.path}: truncated model file")
-        parts = self.lines[self.pos].split()
-        self.pos += 1
-        if not parts or parts[0] != expect_key:
-            raise DataError(
-                f"{self.path}: line {self.pos}: expected {expect_key!r}, got "
-                f"{self.lines[self.pos - 1]!r}"
-            )
-        fields = _FIELDS.get(expect_key, 2)
-        if len(parts) != fields:
-            raise DataError(f"{self.path}: line {self.pos}: a {expect_key!r} line has {fields} fields, got {len(parts)}")
-        return parts
-
-    def next_raw(self, expect_key: str) -> str:
-        if self.pos >= len(self.lines):
-            raise DataError(f"{self.path}: truncated model file")
-        line = self.lines[self.pos]
-        self.pos += 1
-        key, _, rest = line.partition(" ")
-        if key != expect_key:
-            raise DataError(f"{self.path}: line {self.pos}: expected {expect_key!r}")
-        return rest
+def _next(lines: Iterator[str]) -> str:
+    line = next(lines, None)
+    if line is None:
+        raise DataError("truncated model file")
+    return line
 
 
-def _parse_float(reader: _LineReader, text: str) -> float:
+def _fields(lines: Iterator[str], key: str) -> list[str]:
+    """The fields of the next line, which must be a ``key`` line."""
+    line = _next(lines)
+    parts = line.split()
+    if parts[0] != key:
+        raise DataError(f"expected {key!r}, got {line!r}")
+    fields = _FIELDS.get(key, 2)
+    if len(parts) != fields:
+        raise DataError(f"a {key!r} line has {fields} fields, got {len(parts)}")
+    return parts
+
+
+def _parse_float(text: str) -> float:
     try:
         return float(text)
     except ValueError:
-        raise DataError(f"{reader.path}: line {reader.pos}: bad float {text!r}") from None
+        raise DataError(f"bad float {text!r}") from None
 
 
-def _parse_int(reader: _LineReader, text: str) -> int:
+def _parse_int(text: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise DataError(f"{reader.path}: line {reader.pos}: bad integer {text!r}") from None
+        raise DataError(f"bad integer {text!r}") from None
 
 
-def _read_terms(reader: _LineReader, loss_kind: str) -> AdditiveModel:
-    parts = reader.next("terms")
-    count = _parse_int(reader, parts[1])
+def _read_terms(lines: Iterator[str], loss_kind: str, features: int) -> AdditiveModel:
+    count = _parse_int(_fields(lines, "terms")[1])
     if count < 1:
-        raise DataError(f"{reader.path}: model must have at least one term")
+        raise DataError("model must have at least one term")
     terms = []
     for expected_round in range(1, count + 1):
-        parts = reader.next("term")
-        rnd = _parse_int(reader, parts[1])
-        if rnd != expected_round:
-            raise DataError(f"{reader.path}: line {reader.pos}: term rounds out of order")
-        alpha = _parse_float(reader, parts[2])
+        parts = _fields(lines, "term")
+        if _parse_int(parts[1]) != expected_round:
+            raise DataError("term rounds out of order")
+        alpha = _parse_float(parts[2])
         if not math.isfinite(alpha):
-            raise DataError(f"{reader.path}: line {reader.pos}: non-finite alpha {parts[2]!r}")
-        fields = (
-            _parse_int(reader, parts[3]),
-            _parse_float(reader, parts[4]),
-            _parse_float(reader, parts[5]),
-            _parse_float(reader, parts[6]),
-        )
-        try:
-            stump = Stump(*fields)
-        except DataError as exc:
-            raise DataError(f"{reader.path}: line {reader.pos}: {exc}") from None
+            raise DataError(f"non-finite alpha {parts[2]!r}")
+        stump = Stump(_parse_int(parts[3]), _parse_float(parts[4]), _parse_float(parts[5]),
+                      _parse_float(parts[6]))
+        if not 0 <= stump.feature_index < features:
+            raise DataError(f"feature index {stump.feature_index} out of range for {features} features")
         terms.append((alpha, stump))
     return AdditiveModel(tuple(terms), loss_kind)
 
 
-def _read_loss(reader: _LineReader) -> str:
+def _read_loss(lines: Iterator[str]) -> str:
     """A loss line and the link line after it, which must be that loss's link."""
-    loss = reader.next("loss")[1]
+    loss = _fields(lines, "loss")[1]
     if loss not in LINKS:
-        raise DataError(f"{reader.path}: line {reader.pos}: unknown loss {loss!r}")
-    link = reader.next("link")[1]
+        raise DataError(f"unknown loss {loss!r}")
+    link = _fields(lines, "link")[1]
     if link != LINKS[loss].name:
-        raise DataError(f"{reader.path}: line {reader.pos}: link {link!r} does not match loss {loss!r}")
+        raise DataError(f"link {link!r} does not match loss {loss!r}")
     return loss
 
 
 def load_model(path: str) -> LoadedModel:
-    """Parse and validate a model file of either mode."""
-    lines = [ln.rstrip("\n") for ln in utf8_lines(path) if ln.strip()]
-    reader = _LineReader(path, lines)
+    """Parse and validate a model file of either mode.
 
-    parts = reader.next(MAGIC)
-    if _parse_int(reader, parts[1]) != FORMAT_VERSION:
-        raise DataError(f"{path}: unsupported format version {parts[1:]}")
-    mode = reader.next("mode")[1]
-    seed = _parse_int(reader, reader.next("seed")[1])
-    config = reader.next_raw("config")
-    features = _parse_int(reader, reader.next("features")[1])
+    Every check runs while a line of the block at fault is the reader's
+    current line, so its error names the path and that line.
+    """
+    with TextLines(path) as lines:
+        parts = _fields(lines, MAGIC)
+        if _parse_int(parts[1]) != FORMAT_VERSION:
+            raise DataError(f"unsupported format version {parts[1:]}")
+        mode = _fields(lines, "mode")[1]
+        if mode not in ("classify", "cde"):
+            raise DataError(f"unknown mode {mode!r}")
+        seed = _parse_int(_fields(lines, "seed")[1])
+        key, _, config = _next(lines).partition(" ")
+        if key != "config":
+            raise DataError("expected 'config'")
+        features = _parse_int(_fields(lines, "features")[1])
+        if features < 1:
+            raise DataError(f"a model needs at least one feature, got {features}")
 
-    if mode == "classify":
-        loss = _read_loss(reader)
-        cap = _parse_float(reader, reader.next("alpha-cap")[1])
-        del cap  # provenance only
-        model = _read_terms(reader, loss)
-        reader.next("end")
-        return LoadedModel("classify", model, None, model.link, features, seed, config)
+        if mode == "classify":
+            loss = _read_loss(lines)
+            _parse_float(_fields(lines, "alpha-cap")[1])  # provenance only
+            model = _read_terms(lines, loss, features)
+            _fields(lines, "end")
+            return LoadedModel("classify", model, None, model.link, features, seed, config)
 
-    if mode == "cde":
-        parts = reader.next("support")
-        lo, hi = _parse_float(reader, parts[1]), _parse_float(reader, parts[2])
-        k = _parse_int(reader, reader.next("breakpoints")[1])
-        values = [
-            _parse_float(reader, reader.next("breakpoint")[1]) for _ in range(k)
-        ]
+        parts = _fields(lines, "support")
+        lo, hi = _parse_float(parts[1]), _parse_float(parts[2])
+        k = _parse_int(_fields(lines, "breakpoints")[1])
+        values = [_parse_float(_fields(lines, "breakpoint")[1]) for _ in range(k)]
+        breakpoints = Breakpoints(np.asarray(values), lo, hi)
         classifiers = []
         flags = []
         for j in range(1, k + 1):
-            parts = reader.next("classifier")
-            if _parse_int(reader, parts[1]) != j:
-                raise DataError(f"{path}: classifier blocks out of order")
-            flags.append(bool(_parse_int(reader, parts[3])))
-            classifiers.append(_read_terms(reader, _read_loss(reader)))
-        reader.next("end")
-        density = ConditionalDensityModel(
-            Breakpoints(np.asarray(values), lo, hi), tuple(classifiers), tuple(flags)
-        )
-        return LoadedModel("cde", None, density, density.classifiers[0].link, features, seed, config)
-
-    raise DataError(f"{path}: unknown mode {mode!r}")
+            parts = _fields(lines, "classifier")
+            if _parse_int(parts[1]) != j:
+                raise DataError("classifier blocks out of order")
+            flags.append(bool(_parse_int(parts[3])))
+            classifiers.append(_read_terms(lines, _read_loss(lines), features))
+            # built after every block, so that its checks name a line of the block at fault
+            density = ConditionalDensityModel(
+                Breakpoints(breakpoints.values[:j], lo, hi), tuple(classifiers), tuple(flags)
+            )
+        _fields(lines, "end")
+    return LoadedModel("cde", None, density, density.classifiers[0].link, features, seed, config)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .boosting import AdditiveModel, BoostConfig, RoundStats, sign_pm1, train
 from .data import Dataset
-from .errors import DataError, UsageError, utf8_lines
+from .errors import DataError, TextLines, UsageError
 from .losses import log1pexp, sigmoid
 
 
@@ -83,27 +83,28 @@ def load_rule_table(path: str) -> PriorRule:
     lines followed by a final `default, probability` line."""
     rules: list[tuple[int, str, float, float]] = []
     default: float | None = None
-    for line_no, raw in enumerate(utf8_lines(path), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if default is not None:
-            raise DataError(f"{path}: line {line_no}: rules after the default line")
-        parts = [p.strip() for p in line.split(",")]
-        try:
-            if parts[0] == "default":
-                if len(parts) != 2:
+    with TextLines(path) as lines:
+        for raw in lines:
+            line = raw.strip()
+            if line.startswith("#"):
+                continue
+            if default is not None:
+                raise DataError("rules after the default line")
+            parts = [p.strip() for p in line.split(",")]
+            try:
+                if parts[0] == "default" and len(parts) == 2:
+                    default = float(parts[1])
+                elif len(parts) == 4:
+                    rules.append((int(parts[0]), parts[1], float(parts[2]), float(parts[3])))
+                else:
                     raise ValueError
-                default = float(parts[1])
-            else:
-                if len(parts) != 4:
-                    raise ValueError
-                rules.append((int(parts[0]), parts[1], float(parts[2]), float(parts[3])))
-        except ValueError:
-            raise DataError(f"{path}: line {line_no}: cannot parse {line!r}") from None
-    if default is None:
-        raise DataError(f"{path}: missing final default line")
-    return PriorRule(tuple(rules), default)
+            except ValueError:
+                raise DataError(f"cannot parse {line!r}") from None
+            # built after every line, so that PriorRule's checks name the line at fault
+            table = PriorRule(tuple(rules), 0.0 if default is None else default)
+        if default is None:
+            raise DataError("missing final default line")
+    return table
 
 
 def relative_entropy(p, q):

@@ -29,8 +29,7 @@ _MIX2 = 0x94D049BB133111EB
 class RngState:
     """Seedable counter-based generator with a frozen algorithm.
 
-    Single-owner: never share one instance between concurrent tasks. Use
-    :meth:`spawn` to derive an independent child stream.
+    Single-owner: never share one instance between concurrent tasks.
     """
 
     __slots__ = ("seed", "counter")
@@ -54,10 +53,6 @@ class RngState:
     def random(self) -> float:
         """Uniform float in [0, 1) built from the 53 high bits."""
         return (self.next_uint64() >> 11) * 2.0**-53
-
-    def uniform(self, lo: float, hi: float) -> float:
-        """Uniform float in [lo, hi)."""
-        return lo + (hi - lo) * self.random()
 
     def below(self, n: int) -> int:
         """Uniform integer in [0, n), bias-free via rejection sampling."""
@@ -95,7 +90,3 @@ class RngState:
         """k distinct elements of `items`, in draw order."""
         items = np.asarray(items)
         return items[self.sample(len(items), k)]
-
-    def spawn(self) -> "RngState":
-        """Independent child generator seeded from this stream."""
-        return RngState(self.next_uint64())

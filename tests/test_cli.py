@@ -1,4 +1,5 @@
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -201,7 +202,9 @@ class TestPredictCommand:
         code = main(["predict", "--model", model_path, "--data", wide,
                      "--out", str(tmp_path / "p.csv")])
         assert code == 2
-        assert "expected 2 features" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "expected 2 features" in err
+        assert err.startswith(f"data error: {wide}: ") and f"model {model_path}" in err
 
     def test_nan_alpha_model_is_data_error(self, tmp_path, random_csv, capsys):
         model_path = self.train_model(tmp_path, random_csv)
@@ -292,6 +295,122 @@ class TestMalformedModelFiles:
         assert code == 2
         assert "score must be finite; row 1 has inf" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestLoadErrorsNameTheLine:
+    """A bad model file or rule table exits 2 naming the path and a line of the
+    faulty block, counted as in the file, blank lines included."""
+
+    def edit(self, tmp_path, model, edit):
+        """Write model with edit(lines) applied to its lines; return the path."""
+        lines = open(model).read().splitlines()
+        edit(lines)
+        bad = str(tmp_path / "bad.txt")
+        open(bad, "w").write("\n".join(lines) + "\n")
+        return bad
+
+    def error(self, capsys, argv, bad) -> tuple[int, str]:
+        """Run argv, which must exit 2 naming bad and a line: that line and the message."""
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        match = re.fullmatch(rf"data error: {re.escape(bad)}: line (\d+): (.*)\n", err)
+        assert match, err
+        return int(match.group(1)), match.group(2)
+
+    @pytest.fixture
+    def classifier(self, tmp_path):
+        data = tmp_path / "d.csv"
+        data.write_text("a,label\n0.0,1\n2.0,-1\n1.0,1\n0.5,-1\n")
+        model = str(tmp_path / "m.txt")
+        assert main(["train", "--data", str(data), "--rounds", "2", "--out", model]) == 0
+        return model, ["predict", "--data", str(data), "--out", str(tmp_path / "p.csv")]
+
+    @pytest.fixture
+    def density(self, tmp_path):
+        data = tmp_path / "r.csv"
+        data.write_text("a,b,label\n0.1,0.2,1.5\n0.3,0.1,2.5\n0.5,0.9,0.5\n0.7,0.4,3.0\n"
+                        "0.2,0.8,1.0\n0.9,0.3,2.0\n")
+        model = str(tmp_path / "c.txt")
+        assert main(["cde", "train", "--data", str(data), "--k", "2", "--rounds", "2",
+                     "--out", model]) == 0
+        return model, ["cde", "quantile", "--data", str(data), "--level", "0.5",
+                       "--out", str(tmp_path / "q.csv")]
+
+    def test_blank_lines_are_counted(self, tmp_path, capsys, classifier):
+        model, argv = classifier
+
+        def edit(lines):
+            lines[2:2] = ["", ""]
+            i = next(i for i, ln in enumerate(lines) if ln.startswith("term 2 "))
+            parts = lines[i].split()
+            parts[2] = "nan"
+            lines[i] = " ".join(parts)
+
+        bad = self.edit(tmp_path, model, edit)
+        assert self.error(capsys, argv + ["--model", bad], bad) == (13, "non-finite alpha 'nan'")
+        assert open(bad).read().splitlines()[12].startswith("term 2 nan ")
+
+    @pytest.mark.parametrize("key, field, value, message", [
+        ("term 1 ", 3, "3", "feature index 3 out of range for 1 features"),
+        ("features ", 1, "-2", "a model needs at least one feature, got -2"),
+    ])
+    def test_feature_indices_checked_at_load(self, tmp_path, capsys, classifier, key, field,
+                                             value, message):
+        model, argv = classifier
+        line = []
+
+        def edit(lines):
+            i = next(i for i, ln in enumerate(lines) if ln.startswith(key))
+            parts = lines[i].split()
+            parts[field] = value
+            lines[i] = " ".join(parts)
+            line.append(i + 1)
+
+        bad = self.edit(tmp_path, model, edit)
+        assert self.error(capsys, argv + ["--model", bad], bad) == (line[0], message)
+
+    @pytest.mark.parametrize("case, message", [
+        ("swap breakpoints", "breakpoints must be finite and strictly increasing"),
+        ("narrow support", "breakpoints must lie inside the support range"),
+        ("exponential block 1", "density classifiers must use logistic loss"),
+    ])
+    def test_density_checks_name_the_faulty_block(self, tmp_path, capsys, density, case,
+                                                  message):
+        model, argv = density
+        block = []
+
+        def edit(lines):
+            keys = [ln.split()[0] for ln in lines]
+            first_block, second_block = (i for i, k in enumerate(keys) if k == "classifier")
+            if case == "exponential block 1":
+                lines[first_block + 1:first_block + 3] = ["loss exponential", "link sigmoid2f"]
+                block.extend(range(first_block + 1, second_block + 1))
+                return
+            i, j = (i for i, k in enumerate(keys) if k == "breakpoint")
+            if case == "swap breakpoints":
+                lines[i], lines[j] = lines[j], lines[i]
+            else:
+                lines[keys.index("support")] = "support 5.0 9.0"
+            block.extend(range(keys.index("support") + 1, first_block + 1))
+
+        bad = self.edit(tmp_path, model, edit)
+        line, text = self.error(capsys, argv + ["--model", bad], bad)
+        assert text == message
+        assert line in block
+
+    @pytest.mark.parametrize("table, line, message", [
+        ("0, <=, 0.5, 1.5\ndefault, 0.5\n", 1,
+         "rule probabilities must be in [0,1] and indices >= 0"),
+        ("0, <=, 0.5, 0.3\n0, <, 0.5, 0.7\ndefault, 0.5\n", 2, "unknown comparator '<'"),
+        ("# rules\n0, <=, 0.5, 0.3\n\ndefault, 2\n", 4, "default probability must be in [0,1]"),
+    ])
+    def test_rule_checks_name_their_line(self, tmp_path, capsys, classifier, table, line,
+                                         message):
+        rules = str(tmp_path / "r.txt")
+        open(rules, "w").write(table)
+        argv = ["train", "--data", classifier[1][2], "--rounds", "2", "--prior-rules", rules,
+                "--eta", "1", "--out", str(tmp_path / "pm.txt")]
+        assert self.error(capsys, argv, rules) == (line, message)
 
 
 class TestEvalCommand:

@@ -228,6 +228,17 @@ class TestRoundTrip:
         save_csv(ds, path)
         assert datasets_equal(ds, load_csv(path))
 
+    def test_save_csv_bytes(self, tmp_path):
+        # CRLF line ends and quoted header names, as csv.writer writes them
+        ds = Dataset(np.array([[0.1, -2.5], [1e-300, 3.0], [-0.0, 1.7976931348623157e308]]),
+                     np.array([1.0, -1.0, 1.0]), prior=np.array([0.25, 1.0, 0.0]),
+                     weights=np.array([2.0, 0.5, 1e-3]), feature_names=("a,b", 'say "x"'))
+        save_csv(ds, str(tmp_path / "x.csv"))
+        assert (tmp_path / "x.csv").read_bytes() == (
+            b'"a,b","say ""x""",label,prior,weight\r\n0.1,-2.5,1.0,0.25,2.0\r\n'
+            b"1e-300,3.0,-1.0,1.0,0.5\r\n-0.0,1.7976931348623157e+308,1.0,0.0,0.001\r\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["x.csv"]
+
     def test_features_only_loader(self, tmp_path):
         path = write(tmp_path, "a,b,label\n1,2,-1\n3,4,1\n")
         X = load_features_csv(path)

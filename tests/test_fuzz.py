@@ -2,12 +2,15 @@
 
 A mutated CSV, model file, config file or rule table must end in exit 0, 1
 or 2, never in a traceback, and a command that exits 0 must not have written
-or printed a non-finite number.
+or printed a non-finite number. A mutated model file, config file or rule
+table that its loader rejects must be rejected with the path and a line of
+the file.
 """
 
 import contextlib
 import io
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -16,9 +19,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boostkit.cli import main
+from boostkit.cli import _CONFIG_KEYS, main
+from boostkit.config import load_config
 from boostkit.data import save_csv
+from boostkit.errors import BoostkitError
 from boostkit.model_io import load_model
+from boostkit.prior import load_rule_table
 
 from conftest import dataset
 
@@ -132,3 +138,31 @@ def test_mutated_inputs_end_in_a_typed_exit(inputs, data, ops):
         assert "Traceback" not in err.getvalue()
         if code == 0:
             check_finite_outputs(work, out.getvalue())
+
+
+LOADERS = {
+    "clf.txt": load_model,
+    "cde.txt": load_model,
+    "run.cfg": lambda path: load_config(path, _CONFIG_KEYS),
+    "rules.txt": load_rule_table,
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(LOADERS)), mutations)
+def test_loader_errors_name_path_and_line(inputs, name, ops):
+    d, _ = inputs
+    data = mutate((d / name).read_bytes(), ops)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "in")
+        Path(path).write_bytes(data)
+        try:
+            LOADERS[name](path)
+        except BoostkitError as exc:
+            lines = len(data.splitlines())  # at \n, \r and \r\n, as the loaders count
+            if lines == 0:  # no line to name
+                assert re.match(rf"{re.escape(path)}: (?!line )", str(exc)), str(exc)
+                return
+            match = re.match(rf"{re.escape(path)}: line (\d+): ", str(exc))
+            assert match, str(exc)
+            assert 1 <= int(match.group(1)) <= lines, (str(exc), lines)

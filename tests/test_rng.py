@@ -56,13 +56,6 @@ def test_permutation_and_sample():
         RngState(9).sample(5, 6)
 
 
-def test_spawn_gives_distinct_stream():
-    parent = RngState(42)
-    child = parent.spawn()
-    assert child.seed != parent.seed
-    assert child.next_uint64() != RngState(42).next_uint64()
-
-
 def test_negative_seed_rejected():
     with pytest.raises(DataError):
         RngState(-1)
