@@ -97,8 +97,10 @@ def select_queries(model: AdditiveModel, pool: Pool, k: int) -> list[int]:
             stacklevel=2,
         )
         k = unlabeled.shape[0]
-    confidence = np.abs(model.score(pool.features[unlabeled]))
-    order = np.lexsort((unlabeled, confidence))
+    # scoring every row reads the pool's columns whole, with no copy of the
+    # unlabeled rows; a stable sort keeps ascending indices in a tie
+    confidence = np.abs(model.score(pool.features))[unlabeled]
+    order = np.argsort(confidence, kind="stable")
     return [int(i) for i in unlabeled[order[:k]]]
 
 

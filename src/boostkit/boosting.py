@@ -65,11 +65,19 @@ class AdditiveModel:
         return 1 + max((s.feature_index for _, s in self.terms), default=0)
 
     def score(self, X: np.ndarray) -> np.ndarray:
-        """f(x) for every row, accumulated in term order."""
+        """f(x) for every row, accumulated in term order.
+
+        Each term adds alpha*left or alpha*right, the products the term
+        itself gives, so ``X[:, j]`` is read once per term; it is contiguous
+        in a column-major X.
+        """
         X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2:
+            raise DataError("score expects an (n, d) feature matrix")
+        self._check_features(X.shape[1])
         f = np.zeros(X.shape[0])
-        for alpha, stump in self.terms:
-            f += alpha * stump.evaluate_matrix(X)
+        for j, t, left, right in zip(*(a.tolist() for a in self._term_arrays)):
+            f += np.where(X[:, j] <= t, left, right)
         return f
 
     @cached_property
@@ -82,6 +90,13 @@ class AdditiveModel:
         right = np.fromiter((a * s.right_output for a, s in self.terms), np.float64, n)
         return feature, threshold, left, right
 
+    def _check_features(self, d: int) -> None:
+        """Raise naming the first term whose feature index is not below d."""
+        feature = self._term_arrays[0]
+        bad = (feature < 0) | (feature >= d)
+        if bad.any():
+            raise DataError(f"feature index {int(feature[bad.argmax()])} out of range for {d} features")
+
     def score_one(self, x) -> float:
         """f(x) for one feature vector; equals ``score(x[None])[0]`` bit for bit.
 
@@ -91,12 +106,8 @@ class AdditiveModel:
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 1:
             raise DataError("score_one expects a single feature vector")
+        self._check_features(x.shape[0])
         feature, threshold, left, right = self._term_arrays
-        bad = (feature < 0) | (feature >= x.shape[0])
-        if bad.any():
-            raise DataError(
-                f"feature index {int(feature[bad.argmax()])} out of range for {x.shape[0]} features"
-            )
         h = np.where(x[feature] <= threshold, left, right)
         return float(np.cumsum(np.concatenate(([0.0], h)))[-1])
 
@@ -285,15 +296,20 @@ def alpha_logistic_line_search(
 def update_distribution(
     D: np.ndarray, h_outputs: np.ndarray, labels: np.ndarray, alpha: float
 ) -> tuple[np.ndarray, float]:
-    """One multiplicative weight update; returns (new distribution, Z)."""
-    D = np.asarray(D, dtype=np.float64)
-    h = np.asarray(h_outputs, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.float64)
-    w = D * np.exp(-alpha * y * h)
+    """One multiplicative weight update; returns (new distribution, Z).
+
+    Works in one new buffer. The products are those of
+    ``D * exp(-alpha * y * h)``: multiplication commutes in IEEE arithmetic.
+    """
+    w = np.multiply(labels, -alpha, dtype=np.float64)
+    w *= h_outputs
+    np.exp(w, out=w)
+    w *= D
     z = float(w.sum())
     if not np.isfinite(z) or z <= 0.0:
         raise InvariantError(f"distribution normalizer is {z!r}")
-    return w / z, z
+    w /= z
+    return w, z
 
 
 def _base_weights(ds: Dataset) -> np.ndarray:
@@ -351,6 +367,7 @@ class RoundAccounting:
         self.base = base
         self.flip = flip
         self.y = labels
+        self.pos = labels > 0.0
         self.loss_kind = loss_kind
         self.D = normalized(base if flip is None else np.concatenate((base, flip)))
         self.f = np.zeros(labels.shape[0])
@@ -380,14 +397,13 @@ class RoundAccounting:
             return self.D, self.D
         m = self.y.shape[0]
         own, other = self.D[:m], self.D[m:]
-        pos = self.y > 0.0
-        return np.where(pos, own, other), np.where(pos, other, own)
+        return np.where(self.pos, own, other), np.where(self.pos, other, own)
 
     def error(self, h: np.ndarray) -> float:
         """Weighted error epsilon of outputs h: the mass of D on labels other than sign(h)."""
-        wrong = sign_pm1(h) != self.y
+        wrong = (h >= 0.0) != self.pos  # sign(0) = +1
         if self.flip is None:
-            return float(np.sum(self.D[wrong]))
+            return float(self.D[wrong].sum())
         m = self.y.shape[0]
         return float(np.sum(np.where(wrong, self.D[:m], self.D[m:])))
 
@@ -402,22 +418,26 @@ class RoundAccounting:
 
     def add(self, t: int, h: np.ndarray, alpha: float, epsilon: float) -> RoundStats:
         """Add alpha * h to f and return the stats of round t; epsilon is error(h)."""
+        self.f += alpha * h
         if self.loss_kind == "exponential":
             self.D, z = update_distribution(self.D, h, self.y, alpha)
-            self.f = self.f + alpha * h
         else:
-            self.f = self.f + alpha * h
             log_surrogate = _log_weighted_exp_mean(*self._logistic_terms())
             z = math.exp(log_surrogate - self._log_surrogate)
             self._log_surrogate = log_surrogate
         self.prod_z *= z
-        train_error = float(np.mean(sign_pm1(self.f) != self.y))
+        # count / m is the double np.mean gives; int() keeps it a Python float
+        train_error = int(np.count_nonzero((self.f >= 0.0) != self.pos)) / self.y.shape[0]
         return RoundStats(t, epsilon, 0.5 - epsilon, z, self.prod_z, train_error)
 
     def loss(self) -> float:
         """Base-weighted training loss of f."""
         if self.loss_kind == "exponential":
-            return float(np.sum(self.base * np.exp(-(self.y * self.f))))
+            e = np.multiply(self.y, self.f)
+            np.negative(e, out=e)
+            np.exp(e, out=e)
+            e *= self.base
+            return float(e.sum())
         w, e = self._logistic_terms()
         return float(np.sum(w * log1pexp(e)))
 

@@ -175,7 +175,8 @@ def _options(args: argparse.Namespace, keys: tuple[str, ...]) -> dict[str, objec
     for key in keys:
         value = getattr(args, key)
         if value is None and key in config:
-            value = _parse(key, config[key], f"{args.config}: ")
+            text, line = config[key]
+            value = _parse(key, text, f"{args.config}: line {line}: ")
         elif value is None and _FLAGS[key].default is _REQUIRED:
             raise UsageError(f"missing required option {_dashed(key)}")
         elif value is None and _FLAGS[key].default is not None:

@@ -3,7 +3,11 @@
 Conventions used throughout the package:
 
 - ``features`` is an (m, d) float64 matrix of finite values; no missing
-  values, no imputation.
+  values, no imputation. A Dataset and :func:`load_features_csv` store it
+  column-major (Fortran order), because every hot reader takes one feature
+  over all rows at a time: stump evaluation in training, model scoring and
+  the search-space sort each read ``X[:, j]``, which is then contiguous.
+  Row-major input is accepted everywhere and gives the same results.
 - ``labels`` is a length-m float64 vector. A dataset is in *classification*
   mode iff every label is exactly -1 or +1; otherwise it is in *regression*
   mode and labels may be any finite reals.
@@ -37,7 +41,8 @@ WEIGHT_COLUMN = "weight"
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
-    out = np.asarray(a, dtype=np.float64).copy()
+    """A read-only float64 copy, column-major (see the module docstring)."""
+    out = np.array(a, dtype=np.float64, order="F")
     out.flags.writeable = False
     return out
 
@@ -239,7 +244,7 @@ def _read_csv(path: str, pick) -> tuple[list[str], np.ndarray, dict[str, np.ndar
 
     values = None
     if table is not None and table.shape[1] == len(header):
-        values = table[:, cols]
+        values = table.T[cols].T  # column-major, as a Dataset stores it
         p = values[:, used.index(prior)] if prior is not None else 0.0
         if not (np.all(np.isfinite(values)) and np.all((p >= 0.0) & (p <= 1.0))):
             values = None
@@ -261,7 +266,7 @@ def _read_csv(path: str, pick) -> tuple[list[str], np.ndarray, dict[str, np.ndar
                 rows.append(cells)
         if not rows:
             raise DataError(f"{path}: no data rows")
-        values = np.asarray(rows, dtype=np.float64)
+        values = np.array(rows, dtype=np.float64, order="F")
     d = len(features)
     return features, values[:, :d], dict(zip(others, values[:, d:].T))
 
@@ -315,12 +320,16 @@ def load_features_csv(path: str, label_column: str = "label") -> np.ndarray:
 def atomic_write_text(path: str, text: str) -> None:
     """Write ``text`` as UTF-8, line ends untranslated, to a temp file in the
     target directory and rename it into place, so that an interrupted write
-    never leaves a partial file."""
+    never leaves a partial file. The file gets the mode a plain ``open``
+    would give it, 0o666 less the umask, where the temp file has 0o600."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".boostkit-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+        umask = os.umask(0o022)  # the umask can only be read by setting it
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

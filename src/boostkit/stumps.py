@@ -396,7 +396,9 @@ def _best_confidence(
         z += t
         z *= 2.0
         c = int(np.argmin(z))
-        if z.flat[c] < best_z:
+        # a smoothing near 1e154 or above overflows every surrogate to inf;
+        # then all tie, and the first candidate wins as in any tie
+        if z.flat[c] < best_z or best is None:
             best_z = float(z.flat[c])
             best = (
                 block,

@@ -3,7 +3,9 @@
 Each function here is the plain form of a library routine that has a
 faster implementation: a masked two-branch sigmoid and log1pexp, line searches that
 evaluate the first and second derivative in separate passes, per-term
-scoring of one row, per-row, per-draw density queries, the two CSV
+scoring of one row and of a matrix, query selection by copying the
+unlabeled rows and a two-key sort, the exponential-loss round bookkeeping
+with a new array per step, per-row, per-draw density queries, the two CSV
 readers that parse every cell with ``float``, and the stump search that
 loops over features in Python, one cumsum per feature.
 """
@@ -13,6 +15,7 @@ import math
 
 import numpy as np
 
+from boostkit.boosting import sign_pm1
 from boostkit.data import PRIOR_COLUMN, WEIGHT_COLUMN, Dataset
 from boostkit.errors import DataError
 from boostkit.losses import prob_positive
@@ -103,6 +106,49 @@ def score_one(model, x):
     for alpha, stump in model.terms:
         f += alpha * stump.evaluate(x)
     return f
+
+
+def score(model, X):
+    """f(x) for every row of X, one term's alpha * h(X) at a time."""
+    X = np.asarray(X, dtype=np.float64)
+    f = np.zeros(X.shape[0])
+    for alpha, stump in model.terms:
+        f += alpha * stump.evaluate_matrix(X)
+    return f
+
+
+def select_queries(model, pool, k):
+    """The k unlabeled indices with smallest |f(x)|, by a sort on (|f|, index)."""
+    unlabeled = pool.unlabeled_ids()
+    k = min(k, unlabeled.shape[0])
+    confidence = np.abs(model.score(pool.features[unlabeled]))
+    order = np.lexsort((unlabeled, confidence))
+    return [int(i) for i in unlabeled[order[:k]]]
+
+
+def update_distribution(D, h, y, alpha):
+    """(D * exp(-alpha * y * h) / z, z) with z the sum before the division."""
+    w = D * np.exp(-alpha * y * h)
+    z = float(w.sum())
+    return w / z, z
+
+
+def weighted_error(D, h, y):
+    """Mass of D where sign(h) is not the label; D of 2m entries holds each
+    row's mass on its own label, then on the other one."""
+    wrong = sign_pm1(h) != y
+    if D.shape[0] == y.shape[0]:
+        return float(np.sum(D[wrong]))
+    m = y.shape[0]
+    return float(np.sum(np.where(wrong, D[:m], D[m:])))
+
+
+def train_error(f, y):
+    return float(np.mean(sign_pm1(f) != y))
+
+
+def exponential_loss(base, y, f):
+    return float(np.sum(base * np.exp(-(y * f))))
 
 
 def masses_from_scores(q_raw):

@@ -1,7 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import boostkit.active as active_mod
+import oracles
 from boostkit.active import ActiveConfig, Pool, select_queries, simulate
 from boostkit.boosting import BoostConfig
 from boostkit.errors import DataError, UsageError
@@ -62,6 +67,21 @@ class TestSelectQueries:
         pool.acquire([0])
         model = FullPoolScorer([0.1, 0.2, 0.3])
         assert select_queries(model, pool, 1) == [1]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_two_key_sort_oracle(self, data):
+        # few distinct |f| values, of both signs and both zeros: many ties
+        m = data.draw(st.integers(1, 40))
+        scores = data.draw(st.lists(st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 2.0]),
+                                    min_size=m, max_size=m))
+        pool = make_pool(scores)
+        pool.acquire(data.draw(st.lists(st.integers(0, m - 1), max_size=m - 1, unique=True)))
+        k = data.draw(st.integers(1, m))
+        model = FullPoolScorer(scores)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # k above the unlabeled count
+            assert select_queries(model, pool, k) == oracles.select_queries(model, pool, k)
 
     def test_fewer_than_k_returns_all_with_warning(self):
         pool = make_pool([0.1, 0.2])

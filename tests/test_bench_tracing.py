@@ -3,16 +3,14 @@
 ``bench/tracing.py`` wraps module-level names in ``src/`` by ``getattr``, so
 renaming one of them (``boosting._best_confidence``, ``prior.train``,
 ``prior.augment_with_prior``, ``boosting.sigmoid``, ...) would crash a
-traced benchmark run. This test installs the tracer and runs a small
-prior-training command through it.
+traced benchmark run. These tests install the tracer and run small
+commands through it.
 """
 
 import importlib.util
 from pathlib import Path
 
 import numpy as np
-
-from boostkit.cli import main
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -28,8 +26,13 @@ def traced(argv):
     tracing = load_tracing()
     tracer = tracing.Tracer()
     tracing.install(tracer)
+    # looked up after install, which patches the boostkit modules imported
+    # now: the benchmark harness re-imports boostkit afresh, so a main bound
+    # when this file was imported may belong to modules no longer patched
+    from boostkit import cli
+
     try:
-        code = tracer.span("cli.train", 0, main, argv)
+        code = tracer.span("cli.train", 0, cli.main, argv)
     finally:
         tracer.uninstall()
     return code, tracer, tracing
@@ -79,3 +82,27 @@ def test_traced_cde_training_sorts_once(tmp_path, capsys):
     assert tracer.counters["stumps.space_builds"] == 1
     assert tracer.counters["stumps.search_calls"] == 3 * 4
     assert tracer.counters["stumps.candidates_scanned"] == 3 * 4 * (m + m + 2)
+
+
+def test_traced_active_run(tmp_path, capsys):
+    # 2 strategies x 2 iterations: 3 retrains each, and queries only when
+    # uncertainty sampling picks the batch
+    rng = np.random.default_rng(7)
+    X = (rng.uniform(size=(80, 4)) < 0.3).astype(float)
+    y = np.where(X[:, 0] + X[:, 1] - X[:, 2] > 0.5, 1.0, -1.0)
+    rows = ["a,b,c,d,label"] + [",".join(repr(float(v)) for v in r) for r in zip(*X.T, y)]
+    data = tmp_path / "pool.csv"
+    data.write_text("\n".join(rows) + "\n")
+    argv = ["active", "--data", str(data), "--test-fraction", "0.25", "--strategy", "both",
+            "--init", "10", "--batch", "5", "--iterations", "2", "--rounds", "4",
+            "--out", str(tmp_path / "curves.csv")]
+
+    code, tracer, tracing = traced(argv)
+    assert code == 0, capsys.readouterr().err
+    names = {span[1] for span in tracer.spans}
+    assert {"boosting.score", "boosting.update", "active.select_queries",
+            "active.labeled_dataset"} <= names
+    assert tracer.counters["active.retrains"] == 2 * 3
+    metrics = tracing.layer_metrics(tracer.spans, tracer.counters)
+    for metric in ("boosting.score_s", "boosting.update_s", "active.select_queries_s"):
+        assert metrics[metric][0] > 0.0

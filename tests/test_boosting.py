@@ -10,6 +10,7 @@ from boostkit.boosting import (
     ALPHA_CAP,
     AdditiveModel,
     BoostConfig,
+    RoundAccounting,
     alpha_binary,
     alpha_line_search,
     alpha_logistic_line_search,
@@ -24,7 +25,7 @@ from boostkit.boosting import (
     z_value,
 )
 from boostkit.data import uniform_distribution
-from boostkit.errors import DataError, UsageError
+from boostkit.errors import DataError, InvariantError, UsageError
 from boostkit.stumps import Stump, StumpSearchConfig, best_binary_stump
 
 from conftest import dataset, random_classification, stump_separable, xor_task
@@ -226,6 +227,90 @@ class TestScoreOne:
         model = AdditiveModel(((1.0, Stump(0, 0.0, -1.0, 1.0)),))
         with pytest.raises(DataError):
             model.score_one(np.zeros((2, 1)))
+
+
+@st.composite
+def models_and_matrices(draw):
+    model, row = draw(models_and_rows())
+    n = draw(st.integers(1, 12))
+    values = st.sampled_from([-1.0, -0.5, 0.0, -0.0, 0.3, 0.5, 1.0]) | st.floats(-2.0, 2.0)
+    X = np.array([row] + [draw(st.lists(values, min_size=row.shape[0], max_size=row.shape[0]))
+                          for _ in range(n - 1)])
+    return model, X
+
+
+class TestScore:
+    @settings(max_examples=150, deadline=None)
+    @given(models_and_matrices())
+    def test_matches_term_loop_bit_for_bit(self, model_X):
+        # zero alphas and outputs of both signs make terms of -0.0 and +0.0
+        model, X = model_X
+        want = oracles.score(model, X).tobytes()
+        for layout in (np.ascontiguousarray(X), np.asfortranarray(X)):
+            assert model.score(layout).tobytes() == want
+
+    def test_out_of_range_error_matches_term_loop(self):
+        X = np.asfortranarray([[0.1, 0.2], [0.3, -0.4]])
+        for bad in (-1, -3, 2, 7):
+            model = AdditiveModel(((1.0, Stump(0, 0.0, -1.0, 1.0)),
+                                   (0.5, Stump(bad, 0.0, -1.0, 1.0)),
+                                   (0.5, Stump(9, 0.0, -1.0, 1.0))))
+            with pytest.raises(DataError) as want:
+                oracles.score(model, X)
+            with pytest.raises(DataError) as got:
+                model.score(X)
+            assert str(got.value) == str(want.value) == f"feature index {bad} out of range for 2 features"
+
+
+def _exponential_runs(draw):
+    m = draw(st.integers(1, 12))
+    y = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=m, max_size=m)))
+    base = np.array(draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]) | st.floats(0.0, 3.0),
+                                  min_size=m, max_size=m)))
+    if not np.any(base > 0.0):
+        base[draw(st.integers(0, m - 1))] = 1.0
+    outputs = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.25]) | st.floats(-2.0, 2.0)
+    rounds = [(np.array(draw(st.lists(outputs, min_size=m, max_size=m))),
+               draw(st.sampled_from([0.0, -0.0, 0.5, -1.0, ALPHA_CAP]) | st.floats(-10.0, 10.0)))
+              for _ in range(draw(st.integers(1, 6)))]
+    return y, base, rounds
+
+
+class TestRoundAccountingOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_exponential_rounds_bit_for_bit(self, data):
+        y, base, rounds = _exponential_runs(data.draw)
+        acc = RoundAccounting(base, y, "exponential")
+        D, f, prod_z = acc.distribution().copy(), np.zeros(y.shape[0]), 1.0
+        for t, (h, alpha) in enumerate(rounds, start=1):
+            epsilon = acc.error(h)
+            assert repr(epsilon) == repr(oracles.weighted_error(D, h, y))
+            with np.errstate(all="ignore"):
+                D, z = oracles.update_distribution(D, h, y, alpha)
+            if not (np.isfinite(z) and z > 0.0):
+                with pytest.raises(InvariantError), np.errstate(all="ignore"):
+                    acc.add(t, h, alpha, epsilon)
+                return
+            s = acc.add(t, h, alpha, epsilon)
+            f = f + alpha * h
+            prod_z *= z
+            assert acc.distribution().tobytes() == D.tobytes()
+            assert (repr(s.z), repr(s.cumulative_bound)) == (repr(z), repr(prod_z))
+            assert repr(s.train_error) == repr(oracles.train_error(f, y))
+            assert type(s.train_error) is float
+            with np.errstate(all="ignore"):
+                assert repr(acc.loss()) == repr(oracles.exponential_loss(base, y, f))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_error_with_flipped_masses(self, data):
+        y, base, rounds = _exponential_runs(data.draw)
+        flip = base[::-1].copy()
+        acc = RoundAccounting(base, y, "logistic", flip)
+        D = acc.distribution()
+        for h, _ in rounds:
+            assert repr(acc.error(h)) == repr(oracles.weighted_error(D, h, y))
 
 
 class TestUpdateDistribution:

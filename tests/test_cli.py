@@ -1,5 +1,7 @@
 import csv
+import os
 import re
+import stat
 
 import numpy as np
 import pytest
@@ -155,6 +157,25 @@ class TestTrainCommand:
                      "--out", str(tmp_path / "m.txt")])
         assert code == 1
         assert "unknown config key" in capsys.readouterr().err
+
+    def test_bad_config_value_names_its_line(self, tmp_path, monkeypatch, random_csv, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "c.cfg").write_text("rounds = 3\n# smoothing below\nsmoothing = nan\n")
+        code = main(["train", "--config", "c.cfg", "--data", random_csv, "--out", "m.txt"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "usage error: c.cfg: line 3: --smoothing must be finite and nonnegative, got 'nan'\n")
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_outputs_take_the_umask_mode(self, tmp_path, random_csv, umask, mode):
+        out = tmp_path / "m.txt"
+        old = os.umask(umask)
+        try:
+            assert main(["train", "--data", random_csv, "--rounds", "2", "--out", str(out)]) == 0
+        finally:
+            os.umask(old)
+        for path in (out, tmp_path / "m.txt.stats.csv"):
+            assert stat.S_IMODE(path.stat().st_mode) == mode, path
 
 
 class TestPredictCommand:

@@ -167,6 +167,25 @@ class TestDatasetInvariants:
         sub = ds.take([2, 0])
         np.testing.assert_array_equal(sub.features[:, 0], [3.0, 1.0])
 
+    def test_features_column_major_and_read_only(self, tmp_path):
+        def check(X):
+            assert X.flags.f_contiguous and not X.flags.writeable
+
+        rows = np.arange(12.0).reshape(4, 3)
+        for layout in (np.ascontiguousarray(rows), np.asfortranarray(rows), rows[:, ::-1]):
+            ds = dataset(layout, [1.0, -1.0, 1.0, -1.0])
+            check(ds.features)
+            np.testing.assert_array_equal(ds.features, layout)
+            check(ds.take([3, 1]).features)
+            check(ds.with_labels(np.ones(4)).features)
+        # the bulk parse and the cell-by-cell reread ("1" in quotes)
+        for cell in ("1", '"1"'):
+            path = write(tmp_path, f"a,b,label,weight\n{cell},2,1,0.5\n3,4,-1,1\n5,6,1,2\n")
+            check(load_csv(path).features)
+            X = load_features_csv(path)
+            assert X.flags.f_contiguous
+            np.testing.assert_array_equal(X, [[1, 2], [3, 4], [5, 6]])
+
 
 class TestUniformDistribution:
     def test_quarters(self):

@@ -3,10 +3,11 @@
 A mutated CSV, model file, config file or rule table must end in exit 0, 1
 or 2, never in a traceback, and a command that exits 0 must not have written
 or printed a non-finite number. A mutated model file, config file or rule
-table that its loader rejects must be rejected with the path and a line of
-the file.
+table that its loader rejects, or a config value that does not parse, must
+be rejected with the path and a line of the file.
 """
 
+import argparse
 import contextlib
 import io
 import math
@@ -19,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from boostkit import cli
 from boostkit.cli import _CONFIG_KEYS, main
 from boostkit.config import load_config
 from boostkit.data import save_csv
@@ -140,11 +142,26 @@ def test_mutated_inputs_end_in_a_typed_exit(inputs, data, ops):
             check_finite_outputs(work, out.getvalue())
 
 
+def config_values(path: str) -> dict:
+    """The options of ``train --config path``: every config value train takes,
+    parsed; a required option the file does not give is passed as a flag."""
+    keys = cli._COMMON + cli._COMMANDS["train"].keys
+    given = load_config(path, _CONFIG_KEYS)
+    args = argparse.Namespace(**dict.fromkeys(keys))
+    args.config = path
+    for key in keys:
+        if key not in given and cli._FLAGS[key].default is cli._REQUIRED:
+            setattr(args, key, "flag")
+    return cli._options(args, keys)
+
+
+# the file each loader reads, mutated
 LOADERS = {
-    "clf.txt": load_model,
-    "cde.txt": load_model,
-    "run.cfg": lambda path: load_config(path, _CONFIG_KEYS),
-    "rules.txt": load_rule_table,
+    "clf.txt": ("clf.txt", load_model),
+    "cde.txt": ("cde.txt", load_model),
+    "run.cfg": ("run.cfg", lambda path: load_config(path, _CONFIG_KEYS)),
+    "run.cfg values": ("run.cfg", config_values),
+    "rules.txt": ("rules.txt", load_rule_table),
 }
 
 
@@ -152,12 +169,13 @@ LOADERS = {
 @given(st.sampled_from(sorted(LOADERS)), mutations)
 def test_loader_errors_name_path_and_line(inputs, name, ops):
     d, _ = inputs
-    data = mutate((d / name).read_bytes(), ops)
+    file, loader = LOADERS[name]
+    data = mutate((d / file).read_bytes(), ops)
     with tempfile.TemporaryDirectory() as tmp:
         path = str(Path(tmp) / "in")
         Path(path).write_bytes(data)
         try:
-            LOADERS[name](path)
+            loader(path)
         except BoostkitError as exc:
             lines = len(data.splitlines())  # at \n, \r and \r\n, as the loaders count
             if lines == 0:  # no line to name

@@ -187,6 +187,13 @@ class TestBestConfidenceStump:
         with pytest.raises(DataError, match="smoothing must be finite and nonnegative"):
             best_confidence_stump(ds, uniform_distribution(4), smoothing=smoothing)
 
+    def test_surrogates_overflowing_to_inf_tie(self):
+        # (W + s)^2 overflows at s = 1e306: the first candidate wins the tie,
+        # with outputs log((W+ + s)/(W- + s))/2 = 0
+        ds = dataset(np.column_stack([[1.0, 2.0, 3.0, 4.0], [4.0, 3.0, 2.0, 1.0]]), [-1, -1, 1, 1])
+        stump = best_confidence_stump(ds, uniform_distribution(4), smoothing=1e306)
+        assert stump == Stump(0, 0.0, 0.0, 0.0)
+
     def test_label_flip_negates_outputs(self, np_rng):
         for _ in range(20):
             m = int(np_rng.integers(3, 20))
