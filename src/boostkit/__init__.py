@@ -15,12 +15,10 @@ from .boosting import (
     alpha_binary,
     alpha_line_search,
     bound_report,
-    exponential_weights,
     logistic_weights,
     margins,
     train,
     update_distribution,
-    z_value,
 )
 from .data import (
     Dataset,
@@ -90,7 +88,6 @@ __all__ = [
     "common_minimizer_check",
     "conditional_distribution",
     "empirical_loss",
-    "exponential_weights",
     "load_csv",
     "load_model",
     "logistic_weights",
@@ -113,5 +110,4 @@ __all__ = [
     "train_with_prior",
     "uniform_distribution",
     "update_distribution",
-    "z_value",
 ]

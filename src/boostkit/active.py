@@ -140,7 +140,7 @@ def simulate(ds: Dataset, test: Dataset, cfg: ActiveConfig) -> ActiveResult:
     init_ids = rng.sample(ds.m, cfg.init_batch)
     pool.acquire(init_ids)
     result.acquisitions.append([int(i) for i in init_ids])
-    model, _ = train(pool.labeled_dataset(), cfg.boost)
+    model, _ = train(pool.labeled_dataset(), cfg.boost, _stats=False)
     result.points.append(
         CurvePoint(cfg.strategy, cfg.seed, 0, pool.budget_used, _error(model, test))
     )
@@ -159,7 +159,7 @@ def simulate(ds: Dataset, test: Dataset, cfg: ActiveConfig) -> ActiveResult:
             ids = [int(i) for i in rng.choice(remaining, take)]
         pool.acquire(ids)
         result.acquisitions.append(list(ids))
-        model, _ = train(pool.labeled_dataset(), cfg.boost)
+        model, _ = train(pool.labeled_dataset(), cfg.boost, _stats=False)
         result.points.append(
             CurvePoint(cfg.strategy, cfg.seed, it, pool.budget_used, _error(model, test))
         )

@@ -15,6 +15,7 @@ upper-bounds the training error.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -170,16 +171,6 @@ def alpha_binary(epsilon: float, cap: float = ALPHA_CAP) -> float:
     return min(max(a, -cap), cap)
 
 
-def z_value(D: np.ndarray, h_outputs: np.ndarray, labels: np.ndarray, alpha: float) -> float:
-    """Normalizer sum_i D_i * exp(-alpha * y_i * h_i)."""
-    D = np.asarray(D, dtype=np.float64)
-    h = np.asarray(h_outputs, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.float64)
-    if not (D.shape == h.shape == y.shape):
-        raise DataError("weight, output, and label vectors must share a length")
-    return float(np.sum(D * np.exp(-alpha * y * h)))
-
-
 def _newton_1d(derivs, cap: float, tol: float) -> float:
     """Minimizer on [-cap, cap] of a convex function given its derivatives.
 
@@ -210,6 +201,15 @@ def _newton_1d(derivs, cap: float, tol: float) -> float:
     return x
 
 
+def _alpha_bound(cap: float, h: np.ndarray) -> float:
+    """cap / max|h|: the largest |alpha| with |alpha * h| <= cap.
+
+    Kept finite where a subnormal max|h| overflows the quotient; an infinite
+    alpha would make alpha * 0 a NaN.
+    """
+    return min(cap / float(np.max(np.abs(h))), sys.float_info.max)
+
+
 def alpha_line_search(
     D: np.ndarray,
     h_outputs: np.ndarray,
@@ -231,7 +231,7 @@ def alpha_line_search(
     active = (D > 0.0) & (yh != 0.0)
     if not np.any(active):
         raise DataError("uninformative base classifier: h is zero on the support")
-    a_cap = cap / float(np.max(np.abs(h[active])))
+    a_cap = _alpha_bound(cap, h[active])
 
     yha = yh[active]
     # Z' = sum -D yh e and Z'' = sum D yh yh e with e = exp(-a yh)
@@ -253,6 +253,8 @@ def alpha_logistic_line_search(
     cap: float = ALPHA_CAP,
     tol: float = 1e-10,
     flip_weights: np.ndarray | None = None,
+    *,
+    s: np.ndarray | None = None,
 ) -> float:
     """Minimize sum_i w_i ln(1 + exp(-y_i (f_i + alpha h_i))) over alpha.
 
@@ -261,6 +263,15 @@ def alpha_logistic_line_search(
     from one sigmoid s = sigmoid(-(yf + a yh)) per Newton step:
     L' = sum (b yh (1 - s) - w yh s) = sum b yh - sum (w + b) yh s and
     L'' = sum (w + b) yh yh s (1 - s).
+
+    ``s``, when given, holds sigmoid(-y f) per row and is updated in place:
+    the step at alpha = 0 reads it instead of evaluating, and on return it
+    holds sigmoid(-y (f + alpha h)) at every row in the objective (mass
+    w + b > 0 and h != 0), the last Newton step's sigmoids when that step
+    was at the returned alpha. Other rows are left alone. With y = +-1 and
+    a sign-symmetric rounding, a yh + yf and y (f + a h) are the same double
+    up to the sign of a zero, where the sigmoid is 0.5 either way; so the
+    alpha and the stored sigmoids are those of evaluating from scratch.
     """
     w = np.asarray(base_weights, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
@@ -272,25 +283,46 @@ def alpha_logistic_line_search(
     active = (w > 0.0) & (yh != 0.0)
     if not np.any(active):
         raise DataError("uninformative base classifier: h is zero on the support")
-    a_cap = cap / float(np.max(np.abs(yh[active])))
-
     wa, yha, yfa = w[active], yh[active], yf[active]
+    a_cap = _alpha_bound(cap, yha)
     d1_flip = 0.0 if flip_weights is None else float(np.sum(b[active] * yha))
+    # the sigmoids at alpha = 0, read once and then dropped
+    carried = [None if s is None else s[active]]
     d1w = -wa * yha
     d2w = wa * yha * yha
+    # the latest step's alpha and sigmoids, dropped before the next step
+    # allocates its own
+    last = [None, None]
 
-    def derivs(a: float) -> tuple[float, float]:
+    def sigmoids(a: float) -> tuple[np.ndarray, np.ndarray]:
+        """sigmoid(-(yf + a yh)) and the buffer its argument was built in."""
         t = a * yha
         t += yfa
         np.negative(t, out=t)
-        s = sigmoid(t)
-        d1 = d1_flip + float(np.sum(d1w * s))
-        np.multiply(d2w, s, out=t)
-        np.subtract(1.0, s, out=s)
-        t *= s
-        return d1, float(np.sum(t))
+        return sigmoid(t), t
 
-    return _newton_1d(derivs, a_cap, tol)
+    def derivs(a: float) -> tuple[float, float]:
+        last[1] = None
+        if a == 0.0 and carried[0] is not None:
+            sa, t = carried[0], np.empty_like(carried[0])
+            carried[0] = None
+        else:
+            sa, t = sigmoids(a)
+        last[:] = a, sa
+        u = d1w * sa
+        d1 = d1_flip + float(np.sum(u))
+        np.multiply(d2w, sa, out=u)
+        np.subtract(1.0, sa, out=t)
+        u *= t
+        return d1, float(np.sum(u))
+
+    alpha = _newton_1d(derivs, a_cap, tol)
+    if s is not None:
+        a, sa = last
+        if a != alpha:  # e.g. the last bisection point after 200 steps
+            sa = sigmoids(alpha)[0]
+        s[active] = sa
+    return alpha
 
 
 def update_distribution(
@@ -316,19 +348,6 @@ def _base_weights(ds: Dataset) -> np.ndarray:
     return ds.weights if ds.weights is not None else np.ones(ds.m)
 
 
-def exponential_weights(model: AdditiveModel, ds: Dataset) -> np.ndarray:
-    """Distribution proportional to base_weight * exp(-y * f(x)).
-
-    Recomputed from scratch; equals the result of iterating the
-    multiplicative update round by round.
-    """
-    if not ds.is_classification:
-        raise DataError("weight schemes require classification labels")
-    e = -(ds.labels * model.score(ds.features))
-    e -= e.max()  # scale cancels after normalization
-    return normalized(_base_weights(ds) * np.exp(e))
-
-
 def logistic_weights(model: AdditiveModel, ds: Dataset) -> np.ndarray:
     """Distribution proportional to base_weight * sigmoid(-y * f(x))."""
     if not ds.is_classification:
@@ -341,6 +360,15 @@ def _log_weighted_exp_mean(base: np.ndarray, exponents: np.ndarray) -> float:
     """ln( sum(base * exp(exponents)) / sum(base) ), overflow-safe."""
     mx = float(exponents.max())
     s = float(np.sum(base * np.exp(exponents - mx)))
+    if s < sys.float_info.min:
+        # every term underflowed, or the sum is subnormal and keeps only a few
+        # significant bits: the largest exponent sits on a row of base weight
+        # 0, or the weights are subnormal. Sum ln(base) + exponent over the
+        # rows with weight instead.
+        keep = base > 0.0
+        t = np.log(base[keep]) + exponents[keep]
+        mx = float(t.max())
+        s = float(np.sum(np.exp(t - mx)))
     return mx + math.log(s) - math.log(float(base.sum()))
 
 
@@ -355,6 +383,15 @@ class RoundAccounting:
     other label -y. D then has 2m entries, the own-label masses followed by
     the flipped-label ones, and epsilon, z and the loss count both: the
     result is that of training on a set holding each row once per label.
+
+    Logistic loss without flip keeps ``s`` = sigmoid(-y f) per row between
+    rounds: the logistic line search leaves in it the sigmoids it evaluated
+    at the chosen alpha, so D is built without a sigmoid of its own. ``s`` is
+    None when it must be evaluated afresh. The search leaves rows with
+    h = 0 alone: f + alpha * 0 is f up to the sign of a zero, so their
+    sigmoid stands. A row of base weight 0 is never searched and may hold a
+    stale value; it meets only 0 * s in D, whose bits are the same for any
+    finite s >= 0.
     """
 
     def __init__(
@@ -371,19 +408,31 @@ class RoundAccounting:
         self.loss_kind = loss_kind
         self.D = normalized(base if flip is None else np.concatenate((base, flip)))
         self.f = np.zeros(labels.shape[0])
+        self.s = None
+        # s holds sigmoid(-y (f + _s_alpha h)) for the h of the coming step
+        self._s_alpha = 0.0
         self.prod_z = 1.0
         self._log_surrogate = 0.0
 
     def distribution(self) -> np.ndarray:
         """D for the coming round."""
         if self.loss_kind == "logistic":
-            yf = self.y * self.f
-            if self.flip is None:
-                self.D = normalized(self.base * sigmoid(-yf))
+            if self.flip is not None:
+                yf = self.y * self.f
+                w = np.concatenate((self.base * sigmoid(-yf), self.flip * sigmoid(yf)))
             else:
-                self.D = normalized(
-                    np.concatenate((self.base * sigmoid(-yf), self.flip * sigmoid(yf)))
-                )
+                if self.s is None:
+                    self.s = sigmoid(-(self.y * self.f))
+                w = self.base * self.s
+            try:
+                self.D = normalized(w)
+            except DataError:
+                if w.any():
+                    raise
+                # the base weights are not all zero: every product underflowed
+                raise DataError(
+                    "logistic weights underflowed: base weight * sigmoid(-y*f) is 0 on every row"
+                ) from None
         return self.D
 
     def masses(self) -> tuple[np.ndarray, np.ndarray]:
@@ -416,12 +465,34 @@ class RoundAccounting:
         keep = w > 0.0
         return w[keep], np.concatenate((-yf, yf))[keep]
 
-    def add(self, t: int, h: np.ndarray, alpha: float, epsilon: float) -> RoundStats:
-        """Add alpha * h to f and return the stats of round t; epsilon is error(h)."""
+    def logistic_alpha(self, h: np.ndarray) -> float:
+        """The logistic line search's alpha for outputs h, leaving ``s`` at it."""
+        alpha = alpha_logistic_line_search(
+            self.base, self.f, h, self.y, flip_weights=self.flip, s=self.s
+        )
+        if self.s is not None:
+            self._s_alpha = alpha
+        return alpha
+
+    def step(self, h: np.ndarray, alpha: float) -> float | None:
+        """Add alpha * h to f and carry D forward; returns exponential loss's z.
+
+        ``s`` is kept when it was evaluated at this alpha: by the logistic
+        line search, or at alpha = 0, which changes f at most in the sign of
+        a zero, where the sigmoid is 0.5.
+        """
         self.f += alpha * h
         if self.loss_kind == "exponential":
             self.D, z = update_distribution(self.D, h, self.y, alpha)
-        else:
+            return z
+        if alpha != self._s_alpha:
+            self.s = None
+        self._s_alpha = 0.0
+        return None
+
+    def stats(self, t: int, epsilon: float, z: float | None) -> RoundStats:
+        """Stats of round t after its step; epsilon is error(h), z what step returned."""
+        if self.loss_kind == "logistic":
             log_surrogate = _log_weighted_exp_mean(*self._logistic_terms())
             z = math.exp(log_surrogate - self._log_surrogate)
             self._log_surrogate = log_surrogate
@@ -448,6 +519,7 @@ def train(
     eval_ds: Dataset | None = None,
     _space: StumpSearchSpace | None = None,
     _flip: np.ndarray | None = None,
+    _stats: bool = True,
 ) -> tuple[AdditiveModel, list[RoundStats]]:
     """Run the full boosting loop and return the model plus round stats.
 
@@ -459,6 +531,11 @@ def train(
     ``_flip`` (logistic loss only) gives each row a second base mass, on the
     label -y; the dataset's weights are then the masses on each row's own
     label. train_error still counts each row once, on its own label.
+
+    ``_stats=False`` returns no stats (an empty list) and computes only what
+    the next round reads: no epsilon unless closed_form_binary alpha needs
+    it, no z, product of z, training error, loss, clamped flag or test error.
+    The terms are those of ``_stats=True`` bit for bit.
     """
     if not ds.is_classification:
         raise DataError("training requires classification labels (-1/+1)")
@@ -476,20 +553,21 @@ def train(
 
     rounds = RoundAccounting(base, y, cfg.loss_kind, _flip)
     logistic_support = (base if _flip is None else base + _flip) > 0.0
-    f_eval = np.zeros(eval_ds.m) if eval_ds is not None else None
+    f_eval = np.zeros(eval_ds.m) if eval_ds is not None and _stats else None
     terms: list[tuple[float, Stump]] = []
     stats: list[RoundStats] = []
 
     for t in range(1, cfg.rounds + 1):
-        D = rounds.distribution()
-        w_pos, w_neg = rounds.masses()
         try:
+            D = rounds.distribution()
+            w_pos, w_neg = rounds.masses()
             if cfg.stumps.mode == "binary":
                 stump, _ = _best_binary(space, w_pos, w_neg)
             else:
                 stump = _best_confidence(space, w_pos, w_neg, smoothing)
             h = stump.evaluate_matrix(X)
-            epsilon = rounds.error(h)
+            if _stats or strategy == "closed_form_binary":
+                epsilon = rounds.error(h)
 
             if strategy == "closed_form_binary":
                 alpha = alpha_binary(epsilon)
@@ -505,16 +583,18 @@ def train(
                 elif cfg.loss_kind == "exponential":
                     alpha = alpha_line_search(D, h, y)
                 else:
-                    alpha = alpha_logistic_line_search(
-                        base, rounds.f, h, y, flip_weights=_flip
-                    )
-                clamped = abs(alpha) * float(np.max(np.abs(h))) >= ALPHA_CAP - 1e-9
+                    alpha = rounds.logistic_alpha(h)
+                if _stats:
+                    clamped = abs(alpha) * float(np.max(np.abs(h))) >= ALPHA_CAP - 1e-9
         except BoostkitError as exc:
             raise type(exc)(f"round {t}: {exc}") from exc
 
-        s = rounds.add(t, h, alpha, epsilon)
-        s.loss, s.clamped = rounds.loss(), clamped
+        z = rounds.step(h, alpha)
         terms.append((alpha, stump))
+        if not _stats:
+            continue
+        s = rounds.stats(t, epsilon, z)
+        s.loss, s.clamped = rounds.loss(), clamped
         if eval_ds is not None:
             f_eval = f_eval + alpha * stump.evaluate_matrix(eval_ds.features)
             s.test_error = float(np.mean(sign_pm1(f_eval) != eval_ds.labels))

@@ -333,8 +333,9 @@ def _bound_chain(opt: dict, model, ds):
     stats = []
     for t, (alpha, stump) in enumerate(model.terms, start=1):
         h = stump.evaluate_matrix(ds.features)
+        epsilon = rounds.error(h)
         try:
-            stats.append(rounds.add(t, h, alpha, rounds.error(h)))
+            stats.append(rounds.stats(t, epsilon, rounds.step(h, alpha)))
         except InvariantError as exc:
             raise DataError(
                 f"{opt['model']}: bound-chain replay on {opt['data']}, round {t}: {exc}; "

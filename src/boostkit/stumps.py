@@ -384,7 +384,9 @@ def _best_confidence(
     best_z = math.inf
     for block in space.blocks:
         wp_left, wn_left, wp_right, wn_right = block.masses(w_pos, w_neg)
-        # 2 * (sqrt((W+ + s)(W- + s)) on the left + the same on the right)
+        # sqrt((W+ + s)(W- + s)) on the left + the same on the right: half
+        # the surrogate Z. Doubling is exact and a finite z cannot overflow
+        # by it, so the halves order the candidates, ties included, alike.
         z = np.add(wp_left, smoothing)
         t = np.add(wn_left, smoothing)
         z *= t
@@ -394,7 +396,6 @@ def _best_confidence(
         t *= u
         np.sqrt(t, out=t)
         z += t
-        z *= 2.0
         c = int(np.argmin(z))
         # a smoothing near 1e154 or above overflows every surrogate to inf;
         # then all tie, and the first candidate wins as in any tie

@@ -47,6 +47,16 @@ def xor_task(rng: np.random.Generator, m: int) -> Dataset:
     return dataset(X, y)
 
 
+class Pinned:
+    """Stands in for st.data() in an @example: each draw returns the next value."""
+
+    def __init__(self, *values):
+        self.values = iter(values)
+
+    def draw(self, strategy):
+        return next(self.values)
+
+
 @pytest.fixture
 def np_rng():
     return np.random.default_rng(20240817)

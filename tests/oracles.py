@@ -6,20 +6,25 @@ evaluate the first and second derivative in separate passes, per-term
 scoring of one row and of a matrix, query selection by copying the
 unlabeled rows and a two-key sort, the exponential-loss round bookkeeping
 with a new array per step, per-row, per-draw density queries, the two CSV
-readers that parse every cell with ``float``, and the stump search that
-loops over features in Python, one cumsum per feature.
+readers that parse every cell with ``float``, the stump search that
+loops over features in Python, one cumsum per feature, and the training
+loop that evaluates every logistic sigmoid afresh and builds every round
+statistic. ``z_value`` and ``exponential_weights`` recompute a normalizer
+and a distribution from scratch; only the tests call them.
 """
 
 import csv
 import math
+import sys
 
 import numpy as np
 
-from boostkit.boosting import sign_pm1
-from boostkit.data import PRIOR_COLUMN, WEIGHT_COLUMN, Dataset
-from boostkit.errors import DataError
+from boostkit.boosting import AdditiveModel, RoundStats, alpha_binary, sign_pm1
+from boostkit.data import PRIOR_COLUMN, WEIGHT_COLUMN, Dataset, normalized
+from boostkit.errors import DataError, InvariantError
 from boostkit.losses import prob_positive
-from boostkit.stumps import Stump, confidence_output
+from boostkit.stumps import StumpSearchSpace as SearchSpace
+from boostkit.stumps import Stump, _best_binary, _best_confidence, confidence_output
 
 
 def sigmoid(x):
@@ -79,15 +84,19 @@ def alpha_line_search(D, h, y, cap=35.0, tol=1e-10):
     return _newton_1d(dz, d2z, -a_cap, a_cap, tol)
 
 
-def alpha_logistic_line_search(w, f, h, y, cap=35.0, tol=1e-10):
+def alpha_logistic_line_search(w, f, h, y, cap=35.0, tol=1e-10, flip=None):
+    """With ``flip`` b, L' gains sum b yh (1 - s), written as sum b yh - sum b yh s."""
     yh = y * h
     yf = y * f
+    if flip is not None:
+        w = w + flip
     active = (w > 0.0) & (yh != 0.0)
     a_cap = cap / float(np.max(np.abs(yh[active])))
     wa, yha, yfa = w[active], yh[active], yf[active]
+    d1_flip = 0.0 if flip is None else float(np.sum(flip[active] * yha))
 
     def dl(a):
-        return float(np.sum(-wa * yha * sigmoid(-(yfa + a * yha))))
+        return d1_flip + float(np.sum(-wa * yha * sigmoid(-(yfa + a * yha))))
 
     def d2l(a):
         s = sigmoid(-(yfa + a * yha))
@@ -147,8 +156,113 @@ def train_error(f, y):
     return float(np.mean(sign_pm1(f) != y))
 
 
+def z_value(D, h_outputs, labels, alpha):
+    """Normalizer sum_i D_i * exp(-alpha * y_i * h_i)."""
+    D = np.asarray(D, dtype=np.float64)
+    h = np.asarray(h_outputs, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.float64)
+    if not (D.shape == h.shape == y.shape):
+        raise DataError("weight, output, and label vectors must share a length")
+    return float(np.sum(D * np.exp(-alpha * y * h)))
+
+
+def exponential_weights(model, ds):
+    """Distribution proportional to base_weight * exp(-y * f(x)).
+
+    Recomputed from scratch; equals the result of iterating the
+    multiplicative update round by round.
+    """
+    if not ds.is_classification:
+        raise DataError("weight schemes require classification labels")
+    e = -(ds.labels * model.score(ds.features))
+    e -= e.max()  # scale cancels after normalization
+    base = ds.weights if ds.weights is not None else np.ones(ds.m)
+    return normalized(base * np.exp(e))
+
+
 def exponential_loss(base, y, f):
     return float(np.sum(base * np.exp(-(y * f))))
+
+
+def train(ds, cfg, eval_ds=None, flip=None):
+    """The boosting loop with every statistic built and no state carried but D and f.
+
+    Logistic D is sigmoid(-y f) evaluated afresh every round, and the line
+    searches are the two-pass ones above; the stump search is the
+    library's. ``flip`` is ``train``'s ``_flip``.
+    """
+    strategy = cfg.resolved_alpha_strategy()
+    X, y, m = ds.features, ds.labels, ds.m
+    logistic = cfg.loss_kind == "logistic"
+    base = ds.weights if ds.weights is not None else np.ones(m)
+    masses = base if flip is None else np.concatenate((base, flip))
+    space = SearchSpace(X)
+    if flip is None:
+        space = space.split(y)
+    smoothing = cfg.stumps.resolve_smoothing(m)
+    pos = y > 0.0
+    D, f = normalized(masses), np.zeros(m)
+    f_eval = None if eval_ds is None else np.zeros(eval_ds.m)
+    prod_z, log_surrogate = 1.0, 0.0
+    terms, stats = [], []
+    for t in range(1, cfg.rounds + 1):
+        yf = y * f
+        if logistic:
+            D = normalized(masses * sigmoid(-yf if flip is None else np.concatenate((-yf, yf))))
+        if flip is None:
+            w_pos = w_neg = D
+        else:
+            w_pos, w_neg = np.where(pos, D[:m], D[m:]), np.where(pos, D[m:], D[:m])
+        if cfg.stumps.mode == "binary":
+            stump = _best_binary(space, w_pos, w_neg)[0]
+        else:
+            stump = _best_confidence(space, w_pos, w_neg, smoothing)
+        h = stump.evaluate_matrix(X)
+        epsilon = weighted_error(D, h, y)
+        if strategy == "closed_form_binary":
+            alpha = alpha_binary(epsilon)
+            clamped = epsilon <= 0.0 or epsilon >= 1.0
+        elif strategy == "unit":
+            alpha, clamped = 1.0, False
+        else:
+            support = (base if flip is None else base + flip) > 0.0 if logistic else D > 0.0
+            if not np.any(h[support] != 0.0):
+                alpha = 0.0
+            elif logistic:
+                alpha = alpha_logistic_line_search(base, f, h, y, flip=flip)
+            else:
+                alpha = alpha_line_search(D, h, y)
+            clamped = abs(alpha) * float(np.max(np.abs(h))) >= 35.0 - 1e-9
+        terms.append((alpha, stump))
+        f = f + alpha * h
+        yf = y * f
+        if logistic:
+            w, e = base, -yf
+            if flip is not None:
+                keep = masses > 0.0
+                w, e = masses[keep], np.concatenate((-yf, yf))[keep]
+            mx = float(e.max())
+            total = float(np.sum(w * np.exp(e - mx)))
+            if total < sys.float_info.min:  # underflowed or subnormal: ln(w) + e over rows with weight
+                logs = np.log(w[w > 0.0]) + e[w > 0.0]
+                mx = float(logs.max())
+                total = float(np.sum(np.exp(logs - mx)))
+            log_mean = mx + math.log(total) - math.log(float(w.sum()))
+            z = math.exp(log_mean - log_surrogate)
+            log_surrogate = log_mean
+            loss = float(np.sum(w * log1pexp(e)))
+        else:
+            D, z = update_distribution(D, h, y, alpha)
+            if not (np.isfinite(z) and z > 0.0):
+                raise InvariantError(f"distribution normalizer is {z!r}")
+            loss = exponential_loss(base, y, f)
+        prod_z *= z
+        s = RoundStats(t, epsilon, 0.5 - epsilon, z, prod_z, train_error(f, y), loss=loss, clamped=clamped)
+        if eval_ds is not None:
+            f_eval = f_eval + alpha * stump.evaluate_matrix(eval_ds.features)
+            s.test_error = float(np.mean(sign_pm1(f_eval) != eval_ds.labels))
+        stats.append(s)
+    return AdditiveModel(tuple(terms), cfg.loss_kind), stats
 
 
 def masses_from_scores(q_raw):

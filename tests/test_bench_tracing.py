@@ -82,6 +82,14 @@ def test_traced_cde_training_sorts_once(tmp_path, capsys):
     assert tracer.counters["stumps.space_builds"] == 1
     assert tracer.counters["stumps.search_calls"] == 3 * 4
     assert tracer.counters["stumps.candidates_scanned"] == 3 * 4 * (m + m + 2)
+    # one line search per round (no round of this data converges), called
+    # through the names the tracer patches. The searches make 8.5
+    # derivative evaluations each here; all but the one at alpha = 0
+    # evaluate a sigmoid, and of the rounds' D only each breakpoint's first
+    # does: 102 - 12 + 3 = 93 calls. Evaluating D and the step at alpha = 0
+    # afresh every round made 114.
+    assert tracer.counters["boosting.alpha_calls"] == 3 * 4
+    assert 0 < tracer.counters["losses.sigmoid_calls"] < 8 * tracer.counters["boosting.alpha_calls"]
 
 
 def test_traced_active_run(tmp_path, capsys):

@@ -1,8 +1,9 @@
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -15,20 +16,20 @@ from boostkit.boosting import (
     alpha_line_search,
     alpha_logistic_line_search,
     bound_report,
-    exponential_weights,
     logistic_weights,
     margins,
     sign_pm1,
     stats_csv_rows,
     train,
     update_distribution,
-    z_value,
 )
-from boostkit.data import uniform_distribution
-from boostkit.errors import DataError, InvariantError, UsageError
+from boostkit.data import normalized, uniform_distribution
+from boostkit import boosting
+from boostkit.errors import BoostkitError, DataError, InvariantError, UsageError
+from boostkit.losses import sigmoid
 from boostkit.stumps import Stump, StumpSearchConfig, best_binary_stump
 
-from conftest import dataset, random_classification, stump_separable, xor_task
+from conftest import Pinned, dataset, random_classification, stump_separable, xor_task
 
 HALF_LN3 = 0.5493061443340549
 LN3 = 1.0986122886681098
@@ -66,21 +67,21 @@ class TestZValue:
         D = uniform_distribution(m)
         h = np_rng.uniform(-2, 2, size=m)
         y = np_rng.choice([-1.0, 1.0], size=m)
-        assert z_value(D, h, y, 0.0) == pytest.approx(1.0, abs=1e-15)
+        assert oracles.z_value(D, h, y, 0.0) == pytest.approx(1.0, abs=1e-15)
 
     def test_binary_matches_closed_form(self):
         # one of four examples misclassified, optimal alpha
         y = np.array([1.0, 1.0, 1.0, 1.0])
         h = np.array([1.0, 1.0, 1.0, -1.0])
         D = uniform_distribution(4)
-        z = z_value(D, h, y, alpha_binary(0.25))
+        z = oracles.z_value(D, h, y, alpha_binary(0.25))
         assert z == pytest.approx(SQRT3_OVER_2, abs=1e-12)
         assert z == pytest.approx(2.0 * math.sqrt(0.25 * 0.75), abs=1e-12)
 
     def test_no_edge_gives_one(self):
         y = np.array([1.0, 1.0])
         h = np.array([1.0, -1.0])
-        assert z_value(uniform_distribution(2), h, y, alpha_binary(0.5)) == 1.0
+        assert oracles.z_value(uniform_distribution(2), h, y, alpha_binary(0.5)) == 1.0
 
 
 class TestAlphaLineSearch:
@@ -105,6 +106,15 @@ class TestAlphaLineSearch:
         h = np.zeros(2)
         with pytest.raises(DataError, match="uninformative"):
             alpha_line_search(uniform_distribution(2), h, y)
+
+    def test_subnormal_outputs_keep_alpha_finite(self):
+        # cap / max|h| overflows; an infinite alpha would make alpha * 0 a NaN
+        y = np.array([1.0, -1.0])
+        h = np.array([0.0, 2.2250738585e-309])
+        assert alpha_line_search(uniform_distribution(2), h, y) == -1.7976931348623157e308
+        a = alpha_logistic_line_search(np.ones(2), np.zeros(2), h, y)
+        assert a == -1.7976931348623157e308
+        assert np.all(np.isfinite(np.zeros(2) + a * h))
 
     def test_derivative_vanishes_at_optimum(self, np_rng):
         for _ in range(10):
@@ -290,9 +300,9 @@ class TestRoundAccountingOracle:
                 D, z = oracles.update_distribution(D, h, y, alpha)
             if not (np.isfinite(z) and z > 0.0):
                 with pytest.raises(InvariantError), np.errstate(all="ignore"):
-                    acc.add(t, h, alpha, epsilon)
+                    acc.step(h, alpha)
                 return
-            s = acc.add(t, h, alpha, epsilon)
+            s = acc.stats(t, epsilon, acc.step(h, alpha))
             f = f + alpha * h
             prod_z *= z
             assert acc.distribution().tobytes() == D.tobytes()
@@ -304,13 +314,175 @@ class TestRoundAccountingOracle:
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
+    # half of the smallest double rounds to 0, so sigmoid(0) * 5e-324 does
+    @example(Pinned(1, [-1.0], [5e-324], 1, [1.0], 0.5))
     def test_error_with_flipped_masses(self, data):
         y, base, rounds = _exponential_runs(data.draw)
         flip = base[::-1].copy()
         acc = RoundAccounting(base, y, "logistic", flip)
+        if not np.any(np.concatenate((base, flip)) * 0.5):  # D is masses * sigmoid(0)
+            with pytest.raises(DataError, match="logistic weights underflowed"):
+                acc.distribution()
+            return
         D = acc.distribution()
         for h, _ in rounds:
             assert repr(acc.error(h)) == repr(oracles.weighted_error(D, h, y))
+
+
+@st.composite
+def training_runs(draw):
+    """(loss, stumps, alpha strategy, X, y, base weights, flip masses or None, rounds)."""
+    loss = draw(st.sampled_from(["exponential", "logistic"]))
+    mode = draw(st.sampled_from(["binary", "confidence"]))
+    strategy = draw(st.sampled_from(
+        ["auto", "line_search", "unit"] + (["closed_form_binary"] if mode == "binary" else [])))
+    m, d = draw(st.integers(1, 10)), draw(st.integers(1, 3))
+    cell = st.sampled_from([-1.0, 0.0, -0.0, 0.5, 1.0]) | st.floats(-2.0, 2.0)
+    X = draw(st.lists(st.lists(cell, min_size=d, max_size=d), min_size=m, max_size=m))
+    y = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=m, max_size=m))
+    mass = st.sampled_from([0.0, 0.5, 1.0, 2.0]) | st.floats(0.0, 3.0)
+    base = draw(st.lists(mass, min_size=m, max_size=m))
+    if not any(base):
+        base[draw(st.integers(0, m - 1))] = 1.0
+    flip = None
+    if loss == "logistic" and draw(st.booleans()):
+        flip = draw(st.lists(mass, min_size=m, max_size=m))
+    return loss, mode, strategy, X, y, base, flip, draw(st.integers(1, 8))
+
+
+def _outcome(run):
+    """run()'s model and stats, or the type of the error it raised."""
+    try:
+        with np.errstate(all="ignore"):
+            return run()
+    except BoostkitError as exc:
+        return type(exc)
+
+
+def _terms(model):
+    return [(repr(alpha), repr(stump)) for alpha, stump in model.terms]
+
+
+def _stats(stats):
+    return [[repr(v) for v in vars(s).values()] for s in stats]
+
+
+# Two rows on one point with opposite labels and equal weights: every
+# confidence stump outputs 0 on both, so each line search round gives
+# alpha = 0 because the fit has converged.
+_BALANCED = ("logistic", "confidence", "auto", [[0.5], [0.5]], [1.0, -1.0], [1.0, 1.0], None, 3)
+# A row of base weight 0 next to two that are not, logistic loss with unit alpha.
+_UNIT = ("logistic", "confidence", "unit", [[0.0], [-0.0], [1.0]], [1.0, -1.0, 1.0],
+         [0.0, 1.0, 2.0], None, 4)
+
+
+class TestTrainOracle:
+    """train against the loop that evaluates every sigmoid afresh and keeps every stat."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(training_runs())
+    @example(_BALANCED)
+    @example(_UNIT)
+    @example(_UNIT[:6] + ([1.0, 0.0, 0.5], 4))
+    def test_terms_and_stats_bit_for_bit(self, run):
+        loss, mode, strategy, X, y, base, flip, rounds = run
+        ds = dataset(X, y, weights=np.array(base))
+        flip = None if flip is None else np.array(flip)
+        cfg = BoostConfig(rounds=rounds, loss_kind=loss, stumps=StumpSearchConfig(mode=mode),
+                          alpha_strategy=strategy)
+        want = _outcome(lambda: oracles.train(ds, cfg, ds, flip))
+        got = _outcome(lambda: train(ds, cfg, ds, _flip=flip))
+        lean = _outcome(lambda: train(ds, cfg, _flip=flip, _stats=False))
+        if isinstance(want, type):
+            assert got is want and lean is want
+            return
+        assert _terms(got[0]) == _terms(lean[0]) == _terms(want[0])
+        assert _stats(got[1]) == _stats(want[1])
+        assert lean[1] == []
+
+    def test_converged_rounds_keep_alpha_zero(self):
+        ds = dataset(*_BALANCED[3:5], weights=np.array(_BALANCED[5]))
+        cfg = BoostConfig(rounds=3, loss_kind="logistic", stumps=StumpSearchConfig(mode="confidence"))
+        model, _ = train(ds, cfg, _stats=False)
+        assert [alpha for alpha, _ in model.terms] == [0.0, 0.0, 0.0]
+
+
+@st.composite
+def line_search_inputs(draw):
+    """(w, f, h, y, flip or None), with zero masses, zero outputs and +-0.0 scores."""
+    m = draw(st.integers(1, 10))
+    vector = lambda values: np.array(draw(st.lists(values, min_size=m, max_size=m)))  # noqa: E731
+    mass = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 3.0)
+    w = vector(mass)
+    f = vector(st.sampled_from([0.0, -0.0, 1.0, -2.0]) | st.floats(-40.0, 40.0))
+    h = vector(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]) | st.floats(-3.0, 3.0))
+    y = vector(st.sampled_from([-1.0, 1.0]))
+    flip = vector(mass) if draw(st.booleans()) else None
+    return w, f, h, y, flip
+
+
+class TestLineSearchSigmoidHandOff:
+    """alpha_logistic_line_search(..., s=...) reads sigmoid(-y f) and leaves sigmoid(-y (f + alpha h))."""
+
+    @staticmethod
+    def run(w, f, h, y, flip):
+        """Checks the hand-off and returns alpha."""
+        mass = w > 0.0 if flip is None else w + flip > 0.0
+        s = sigmoid(-(y * f))
+        s[~mass] = 0.25  # stale: never read, never written
+        before = s.copy()
+        alpha = alpha_logistic_line_search(w, f, h, y, flip_weights=flip, s=s)
+        want = sigmoid(-(y * (f + alpha * h)))
+        assert s[mass].tobytes() == want[mass].tobytes()
+        assert s[~mass].tobytes() == before[~mass].tobytes()
+        return alpha
+
+    @settings(max_examples=300, deadline=None)
+    @given(line_search_inputs())
+    @example((np.array([1.0, 0.0, 2.0]), np.array([0.0, -0.0, -0.0]), np.array([1.0, 1.0, 0.0]),
+              np.array([1.0, -1.0, -1.0]), None))
+    def test_sigmoids_at_the_returned_alpha(self, inputs):
+        w, f, h, y, flip = inputs
+        mass = w > 0.0 if flip is None else w + flip > 0.0
+        if not np.any(mass & (h != 0.0)):
+            with pytest.raises(DataError, match="uninformative"):
+                alpha_logistic_line_search(w, f, h, y, flip_weights=flip, s=sigmoid(-(y * f)))
+            return
+        with np.errstate(all="ignore"):
+            alpha = self.run(w, f, h, y, flip)
+            assert repr(alpha) == repr(alpha_logistic_line_search(w, f, h, y, flip_weights=flip))
+
+    def test_fresh_sigmoids_when_the_last_step_was_elsewhere(self, monkeypatch, np_rng):
+        # Newton returning a point it did not evaluate, as after 200 steps
+        def unevaluated(derivs, cap, tol):
+            derivs(0.0)
+            return 0.3 * cap
+
+        monkeypatch.setattr(boosting, "_newton_1d", unevaluated)
+        m = 50
+        w = np_rng.uniform(0.0, 2.0, size=m)
+        w[:5] = 0.0
+        h = np_rng.choice([-1.0, 0.0, 0.5, 1.0], size=m)
+        y = np_rng.choice([-1.0, 1.0], size=m)
+        f = np_rng.normal(size=m)
+        assert self.run(w, f, h, y, None) == 0.3 * 35.0
+        # every row active; max |h + 2| is 3
+        assert self.run(np.ones(m), f, h + 2.0, y, None) == 0.3 * (35.0 / 3.0)
+
+    def test_accounting_keeps_s_only_at_the_searched_alpha(self, np_rng):
+        m = 30
+        base = np_rng.uniform(0.5, 2.0, size=m)
+        y = np_rng.choice([-1.0, 1.0], size=m)
+        h1, h2 = np_rng.normal(size=m), np_rng.normal(size=m)
+        acc = RoundAccounting(base, y, "logistic")
+        acc.distribution()
+        alpha = acc.logistic_alpha(h1)
+        acc.step(h1, alpha)
+        fresh = lambda: normalized(base * sigmoid(-(y * acc.f)))  # noqa: E731
+        assert acc.distribution().tobytes() == fresh().tobytes()
+        # a step by the same alpha, but along outputs the search never saw
+        acc.step(h2, alpha)
+        assert acc.distribution().tobytes() == fresh().tobytes()
 
 
 class TestUpdateDistribution:
@@ -359,7 +531,7 @@ class TestWeightSchemes:
         empty = AdditiveModel((), "logistic")
         np.testing.assert_allclose(logistic_weights(empty, ds), 0.25, atol=1e-15)
         np.testing.assert_allclose(
-            exponential_weights(AdditiveModel((), "exponential"), ds), 0.25, atol=1e-15
+            oracles.exponential_weights(AdditiveModel((), "exponential"), ds), 0.25, atol=1e-15
         )
 
     def test_logistic_values_from_score(self):
@@ -380,7 +552,7 @@ class TestWeightSchemes:
             partial.append((alpha, stump))
             h = stump.evaluate_matrix(ds.features)
             D, _ = update_distribution(D, h, ds.labels, alpha)
-            recomputed = exponential_weights(
+            recomputed = oracles.exponential_weights(
                 AdditiveModel(tuple(partial), "exponential"), ds
             )
             np.testing.assert_allclose(recomputed, D, rtol=1e-9, atol=1e-12)
@@ -388,8 +560,8 @@ class TestWeightSchemes:
     def test_base_weight_scale_invariance(self, np_rng):
         ds = random_classification(np_rng, 12, 2)
         model, _ = train(ds, binary_config(3))
-        w1 = exponential_weights(model, dataset(ds.features, ds.labels, weights=np.ones(ds.m)))
-        w2 = exponential_weights(model, dataset(ds.features, ds.labels, weights=2.0 * np.ones(ds.m)))
+        w1 = oracles.exponential_weights(model, dataset(ds.features, ds.labels, weights=np.ones(ds.m)))
+        w2 = oracles.exponential_weights(model, dataset(ds.features, ds.labels, weights=2.0 * np.ones(ds.m)))
         np.testing.assert_allclose(w1, w2, atol=1e-15)
 
     def test_logistic_weight_rule_direct_recomputation(self, np_rng):
@@ -496,6 +668,32 @@ class TestTrain:
         m2, s2 = train(ds, binary_config(7))
         assert m1 == m2
         assert [x.z for x in s1] == [x.z for x in s2]
+
+    @pytest.mark.parametrize("weights, rounds, zero_sum", [
+        ([0.0, 1.0, 1.0, 1.0], 60, True),  # the plain sum is 0 from round 42 on
+        ([0.0, 1.0, 1.0, 2.0], 21, False),  # at round 21 it is 6.8e-322, a subnormal of 7 bits
+    ])
+    def test_logistic_surrogate_of_underflowing_terms(self, weights, rounds, zero_sum):
+        # the row of base weight 0 is pushed ever further from its label, so
+        # its exponent -y*f is the largest and exp(e - max) underflows, or
+        # keeps only a few bits, on every row that has weight
+        base = np.array(weights)
+        ds = dataset([[0.0], [1.0], [2.0], [3.0]], [1.0, -1.0, 1.0, 1.0], weights=base)
+        cfg = BoostConfig(rounds=rounds, loss_kind="logistic", stumps=StumpSearchConfig(mode="confidence"))
+        model, stats = train(ds, cfg)
+        e = -(ds.labels * model.score(ds.features))
+        plain = float(np.sum(base * np.exp(e - e.max())))
+        assert plain < sys.float_info.min and (plain == 0.0) == zero_sum
+        assert all(math.isfinite(s.z) and math.isfinite(s.cumulative_bound) for s in stats)
+
+        def log_surrogate(t):
+            # ln of the weighted mean of exp(-y f) after t rounds, over the rows with weight
+            e = -(ds.labels[1:] * AdditiveModel(model.terms[:t], "logistic").score(ds.features[1:]))
+            return e.max() + math.log(float(np.sum(base[1:] * np.exp(e - e.max()))) / base.sum())
+
+        for t, s in enumerate(stats, start=1):
+            z = math.exp(log_surrogate(t) - log_surrogate(t - 1))
+            assert s.z == pytest.approx(z, rel=1e-9, abs=0.0)
 
     def test_separable_clamped_rounds_stay_finite(self, np_rng):
         ds = stump_separable(np_rng, 20, 1)

@@ -119,6 +119,19 @@ class TestTrainCommand:
         assert "data error: weights must have a finite sum" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_logistic_weights_that_underflow_name_the_round(self, tmp_path, capsys):
+        # each base weight is the smallest double, and sigmoid(0) = 0.5 halves it to 0
+        path = tmp_path / "w.csv"
+        path.write_text("a,label,weight\n0,1,5e-324\n1,-1,5e-324\n2,1,5e-324\n")
+        out = tmp_path / "m.txt"
+        argv = ["train", "--data", str(path), "--rounds", "2", "--stumps", "confidence",
+                "--out", str(out)]
+        assert main(argv + ["--loss", "logistic"]) == 2
+        assert "data error: round 1: logistic weights underflowed" in capsys.readouterr().err
+        assert not out.exists()
+        # exponential loss normalizes the base weights themselves
+        assert main(argv + ["--loss", "exp"]) == 0
+
     def test_unparseable_test_cell_names_the_test_file(self, tmp_path, random_csv, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("f0,f1,label\n0.1,0.2,1\nnp.float64(0.3),0.4,-1\n")
