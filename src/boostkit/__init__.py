@@ -41,7 +41,6 @@ from .density import (
 from .errors import BoostkitError, DataError, InvariantError, UsageError
 from .losses import (
     common_minimizer_check,
-    empirical_loss,
     prob_positive,
     taylor_match_check,
 )
@@ -55,7 +54,7 @@ from .prior import (
     train_with_prior,
 )
 from .rng import RngState
-from .stumps import Stump, StumpSearchConfig, best_binary_stump, best_confidence_stump
+from .stumps import Stump, StumpSearchConfig
 
 __version__ = "0.1.0"
 
@@ -81,13 +80,10 @@ __all__ = [
     "alpha_binary",
     "alpha_line_search",
     "augment_with_prior",
-    "best_binary_stump",
-    "best_confidence_stump",
     "bound_report",
     "choose_breakpoints",
     "common_minimizer_check",
     "conditional_distribution",
-    "empirical_loss",
     "load_csv",
     "load_model",
     "logistic_weights",

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import math
 import sys
 from typing import Callable, NamedTuple
@@ -44,13 +45,33 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# lines formatted and written at a time by _write_csv, and rows of array
+# values converted at a time by _rows
+_CHUNK_LINES = 1024
+
+
 def _write_csv(path: str, header, lines) -> None:
     """Write a CSV file from its header cells and its data lines.
 
     Every cell written is a number or a fixed word, so none needs quoting
-    and a line is its cells joined by commas.
+    and a line is its cells joined by commas. ``lines`` may be a generator:
+    it is drawn and written ``_CHUNK_LINES`` lines at a time, so the file's
+    text is never held whole.
     """
-    atomic_write_text(path, "\n".join((",".join(header), *lines)) + "\n")
+    def chunks():
+        yield ",".join(header) + "\n"
+        it = iter(lines)
+        while chunk := list(itertools.islice(it, _CHUNK_LINES)):
+            yield "\n".join(chunk) + "\n"
+
+    atomic_write_text(path, chunks())
+
+
+def _rows(*columns: np.ndarray):
+    """The rows of equal-length arrays as tuples of Python numbers, converted
+    ``_CHUNK_LINES`` rows at a time; a 2-D array gives each row as a list."""
+    for lo in range(0, len(columns[0]), _CHUNK_LINES):
+        yield from zip(*(c[lo:lo + _CHUNK_LINES].tolist() for c in columns))
 
 
 class _Kind(NamedTuple):
@@ -267,10 +288,7 @@ def cmd_predict(opt: dict) -> int:
     f = model.score(X)
     h = sign_pm1(f)
     prob = prob_positive(f, model.loss_kind)
-    lines = [
-        f"{i},{fi!r},{hi!r},{pi!r}"
-        for i, (fi, hi, pi) in enumerate(zip(f.tolist(), h.tolist(), prob.tolist()))
-    ]
+    lines = (f"{i},{fi!r},{hi!r},{pi!r}" for i, (fi, hi, pi) in enumerate(_rows(f, h, prob)))
     _write_csv(opt["out"], ("row", "f", "H", "prob_positive"), lines)
     print(f"predictions for {X.shape[0]} rows written to {opt['out']}")
     return 0
@@ -373,17 +391,18 @@ def cmd_cde_train(opt: dict) -> int:
 def cmd_cde_sample(opt: dict) -> int:
     loaded, X = _model_and_data(opt, "cde")
     rng = RngState(opt["seed"])
-    values = density_mod.sample_rows(loaded.density, X, opt["n_samples"], rng).tolist()
-    lines = [f"{i},{s},{value!r}" for i, row in enumerate(values) for s, value in enumerate(row)]
+    values = density_mod.sample_rows(loaded.density, X, opt["n_samples"], rng)
+    lines = (f"{i},{s},{value!r}" for i, (row,) in enumerate(_rows(values))
+             for s, value in enumerate(row))
     _write_csv(opt["out"], ("row", "sample", "value"), lines)
-    print(f"{len(lines)} samples written to {opt['out']}")
+    print(f"{values.size} samples written to {opt['out']}")
     return 0
 
 
 def cmd_cde_quantile(opt: dict) -> int:
     loaded, X = _model_and_data(opt, "cde")
-    values = density_mod.quantiles(loaded.density, X, opt["level"]).tolist()
-    lines = [f"{i},{value!r}" for i, value in enumerate(values)]
+    values = density_mod.quantiles(loaded.density, X, opt["level"])
+    lines = (f"{i},{value!r}" for i, (value,) in enumerate(_rows(values)))
     _write_csv(opt["out"], ("row", "value"), lines)
     print(f"quantiles written to {opt['out']}")
     return 0

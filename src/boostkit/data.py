@@ -13,12 +13,24 @@ Conventions used throughout the package:
   mode and labels may be any finite reals.
 - Weight vectors over examples ("distributions") are plain float64 arrays
   that are nonnegative and sum to 1. :func:`uniform_distribution` and
-  :func:`normalized` build them; :func:`check_distribution` validates.
+  :func:`normalized` build them.
 
 CSV files are UTF-8, comma-separated, with one header row. The label column
 is named ``label`` by default; ``prior`` and ``weight`` are reserved column
 names for per-example prior probabilities and nonnegative example weights.
 All remaining columns are features, in file order.
+
+Reading holds one copy of the used columns. The body is parsed in blocks of
+about ``_BLOCK_BYTES`` of lines, each by ``np.loadtxt``, and each block's
+used columns are copied into arrays allocated once: a column-major feature
+matrix and one vector per other column, sized by the file's newline count.
+If any block fails, the whole file is read again cell by cell, so a value
+or an error never depends on where the blocks fall. The readers return
+read-only arrays. A Dataset adopts, without copying, an array that is
+float64, column-major, read-only and owns its data (the readers' arrays and
+those of another Dataset); any other array is copied and frozen, so a
+caller's later writes to it never reach the Dataset. A caller that hands in
+such an array and then makes it writable again breaks that promise.
 """
 
 from __future__ import annotations
@@ -29,6 +41,7 @@ import math
 import os
 import tempfile
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,9 +52,18 @@ from .rng import RngState
 PRIOR_COLUMN = "prior"
 WEIGHT_COLUMN = "weight"
 
+# text per np.loadtxt call of the bulk CSV parse: larger blocks raise the
+# peak memory of a read, smaller ones add calls
+_BLOCK_BYTES = 256 * 1024
+
 
 def _readonly(a: np.ndarray) -> np.ndarray:
-    """A read-only float64 copy, column-major (see the module docstring)."""
+    """``a`` itself if it is a float64, column-major, read-only array that
+    owns its data, else a read-only float64 copy, column-major (see the
+    module docstring)."""
+    if (isinstance(a, np.ndarray) and a.dtype == np.float64 and a.flags.f_contiguous
+            and a.flags.owndata and not a.flags.writeable):
+        return a
     out = np.array(a, dtype=np.float64, order="F")
     out.flags.writeable = False
     return out
@@ -157,14 +179,6 @@ def normalized(w: np.ndarray) -> np.ndarray:
         raise DataError("weights must not all be zero")
     return w / total
 
-def check_distribution(w: np.ndarray, tol: float = 1e-9) -> None:
-    """Raise unless w is nonnegative and sums to 1 within tol."""
-    w = np.asarray(w)
-    if np.any(w < 0.0):
-        raise DataError("distribution has negative entries")
-    if abs(float(w.sum()) - 1.0) > tol:
-        raise DataError(f"distribution sums to {w.sum()!r}, not 1")
-
 
 def split(ds: Dataset, test_fraction: float, rng: RngState) -> tuple[Dataset, Dataset]:
     """Deterministic exact partition into (train, test).
@@ -212,15 +226,70 @@ def _csv_rows(fh, path: str):
         raise not_utf8(path) from None
 
 
+def _row_bound(path: str) -> int:
+    """An upper bound on the body rows of a file whose lines end in ``\\n``:
+    its newline count, less the header's line."""
+    newlines, last = 0, b""
+    with open(path, "rb") as fh:
+        while chunk := fh.read(_BLOCK_BYTES):
+            newlines += chunk.count(b"\n")
+            last = chunk[-1:]
+    return newlines - (last == b"\n")
+
+
+def _read_blocks(fh, width: int, cols: list[int], d: int, prior: int | None, bound: int):
+    """The bulk parse of the rest of ``fh``: the feature matrix and the other
+    used columns, as arrays of at most ``bound`` rows allocated once, or None
+    if a block of lines fails to parse, has the wrong width, goes past
+    ``bound`` or holds a non-finite value or a prior outside [0, 1].
+
+    ``cols`` are the used columns' file positions, the ``d`` features first;
+    ``prior`` is the prior's place among them or None.
+    """
+    X = np.empty((bound, d), order="F")
+    others = [np.empty(bound) for _ in cols[d:]]
+    targets = [*X.T, *others]  # one contiguous column each
+    n = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a block with no rows only warns
+        try:
+            while lines := fh.readlines(_BLOCK_BYTES):
+                block = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+                del lines  # not held while the next block is read
+                end = n + block.shape[0]
+                if block.shape[1] != width or end > bound:
+                    return None
+                for target, col in zip(targets, cols):
+                    target[n:end] = block[:, col]
+                    if not np.all(np.isfinite(target[n:end])):
+                        return None
+                if prior is not None:
+                    p = targets[prior][n:end]
+                    if not np.all((p >= 0.0) & (p <= 1.0)):
+                        return None
+                n = end
+        except (ValueError, Warning):  # UnicodeDecodeError is a ValueError
+            return None
+    if n == 0:
+        return None
+    if n < bound:  # blank lines, say: keep no rows that were never written
+        return np.array(X[:n], order="F"), [out[:n].copy() for out in others]
+    return X, others
+
+
 def _read_csv(path: str, pick) -> tuple[list[str], np.ndarray, dict[str, np.ndarray]]:
     """Feature names, feature matrix and other columns by name, in row order.
 
     ``pick(header)`` returns the feature columns, the other columns to parse
-    and the prior among them or None; no other column is parsed. If the bulk
-    parse fails, or gives rows of the wrong length, a non-finite value or a
-    prior outside [0, 1], the file is read again cell by cell: :func:`_parse_cell`
-    decides what a cell may hold and names the line and column of any it rejects.
+    and the prior among them or None; no other column is parsed. The bulk
+    parse reads the body in blocks of about ``_BLOCK_BYTES`` (see the module
+    docstring). If any block fails to parse, or gives rows of the wrong
+    length, more rows than the file has newlines, a non-finite value or a
+    prior outside [0, 1], the file is read again cell by cell:
+    :func:`_parse_cell` decides what a cell may hold and names the line and
+    column of any it rejects.
     """
+    bound = _row_bound(path)
     with open(path, "r", encoding="utf-8", newline="") as fh:
         try:
             header = [h.strip() for h in next(_csv_rows(fh, path))]
@@ -235,20 +304,12 @@ def _read_csv(path: str, pick) -> tuple[list[str], np.ndarray, dict[str, np.ndar
             raise DataError(f"{path}: no feature columns")
         used = features + others
         cols = [index[name] for name in used]
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")  # a body with no rows only warns
-                table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
-        except (ValueError, Warning):
-            table = None
-
-    values = None
-    if table is not None and table.shape[1] == len(header):
-        values = table.T[cols].T  # column-major, as a Dataset stores it
-        p = values[:, used.index(prior)] if prior is not None else 0.0
-        if not (np.all(np.isfinite(values)) and np.all((p >= 0.0) & (p <= 1.0))):
-            values = None
-    if values is None:
+        d = len(features)
+        prior_at = None if prior is None else used.index(prior)
+        parsed = _read_blocks(fh, len(header), cols, d, prior_at, bound)
+    if parsed is not None:
+        X, columns = parsed
+    else:
         rows = []
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = _csv_rows(fh, path)
@@ -267,8 +328,10 @@ def _read_csv(path: str, pick) -> tuple[list[str], np.ndarray, dict[str, np.ndar
         if not rows:
             raise DataError(f"{path}: no data rows")
         values = np.array(rows, dtype=np.float64, order="F")
-    d = len(features)
-    return features, values[:, :d], dict(zip(others, values[:, d:].T))
+        X, columns = values[:, :d], list(values[:, d:].T)
+    for a in (X, *columns):
+        a.flags.writeable = False
+    return features, X, dict(zip(others, columns))
 
 
 def load_csv(
@@ -317,16 +380,17 @@ def load_features_csv(path: str, label_column: str = "label") -> np.ndarray:
     return _read_csv(path, lambda header: ([h for h in header if h not in skip], [], None))[1]
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write ``text`` as UTF-8, line ends untranslated, to a temp file in the
-    target directory and rename it into place, so that an interrupted write
-    never leaves a partial file. The file gets the mode a plain ``open``
-    would give it, 0o666 less the umask, where the temp file has 0o600."""
+def atomic_write_text(path: str, text: str | Iterable[str]) -> None:
+    """Write ``text``, a string or an iterable of strings written one after
+    another, as UTF-8, line ends untranslated, to a temp file in the target
+    directory and rename it into place, so that an interrupted write never
+    leaves a partial file. The file gets the mode a plain ``open`` would give
+    it, 0o666 less the umask, where the temp file has 0o600."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".boostkit-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines([text] if isinstance(text, str) else text)
         umask = os.umask(0o022)  # the umask can only be read by setting it
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)

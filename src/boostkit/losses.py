@@ -116,14 +116,6 @@ def check_finite_scores(f) -> None:
         raise DataError(f"score must be finite; row {first[0]} has {float(f[first])!r}")
 
 
-def empirical_loss(model, ds, loss_kind: str) -> float:
-    """Unnormalized sum of per-example losses of y*f(x) over a dataset."""
-    if not ds.is_classification:
-        raise DataError("empirical loss requires classification labels")
-    margins = ds.labels * model.score(ds.features)
-    return float(np.sum(loss_values(margins, loss_kind)))
-
-
 @dataclass(frozen=True)
 class CheckItem:
     name: str

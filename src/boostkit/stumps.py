@@ -72,7 +72,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, check_distribution
 from .errors import DataError
 
 # bounds on one block's (features, m) cells and its candidate thresholds;
@@ -245,9 +244,12 @@ class _FeatureBlock:
             else:
                 right = np.repeat(cum[:, n], self.candidates)
                 right -= left
-            # prefix sums of masses >= 0 never exceed the total; this clamp
-            # only acts on negative weights
-            sides.append((left, np.maximum(right, 0.0, out=right)))
+            # right >= 0 without a clamp: every mass is >= 0 (-0.0 included),
+            # and under round-to-nearest a running sum of such doubles never
+            # decreases, so total - prefix is never below zero. It is -0.0
+            # only where the side's total is -0.0 and the prefix the empty
+            # +0.0, a sign no result sees (see the module docstring).
+            sides.append((left, right))
         (wp_left, wp_right), (wn_left, wn_right) = sides
         return wp_left, wn_left, wp_right, wn_right
 
@@ -300,24 +302,6 @@ class StumpSearchSpace:
         return space
 
 
-def _require_classification(ds: Dataset) -> None:
-    if not ds.is_classification:
-        raise DataError("stump search requires classification labels (-1/+1)")
-
-
-def best_binary_stump(ds: Dataset, D: np.ndarray) -> tuple[Stump, float]:
-    """Minimum weighted-error stump with outputs in {-1, +1}.
-
-    Scans every feature, every candidate threshold, and both orientations;
-    the orientation flip guarantees the returned error is <= 1/2.
-    """
-    _require_classification(ds)
-    D = np.asarray(D, dtype=np.float64)
-    check_distribution(D)
-    space = StumpSearchSpace(ds.features).split(ds.labels)
-    return _best_binary(space, D, D)
-
-
 def _best_binary(
     space: StumpSearchSpace, w_pos: np.ndarray, w_neg: np.ndarray
 ) -> tuple[Stump, float]:
@@ -358,23 +342,6 @@ def confidence_output(w_pos: float, w_neg: float, smoothing: float) -> float:
             "use positive smoothing"
         )
     return 0.5 * math.log(num / den)
-
-
-def best_confidence_stump(
-    ds: Dataset, D: np.ndarray, smoothing: float | None = None
-) -> Stump:
-    """Stump minimizing the two-sided normalizer surrogate.
-
-    Each candidate partition is scored by
-    ``sum over sides of 2*sqrt((W+ + s)(W- + s))`` and the winner's outputs
-    are the smoothed log-odds of its side masses.
-    """
-    _require_classification(ds)
-    D = np.asarray(D, dtype=np.float64)
-    check_distribution(D)
-    space = StumpSearchSpace(ds.features).split(ds.labels)
-    s = StumpSearchConfig(mode="confidence", smoothing=smoothing).resolve_smoothing(ds.m)
-    return _best_confidence(space, D, D, s)
 
 
 def _best_confidence(

@@ -60,3 +60,17 @@ class Pinned:
 @pytest.fixture
 def np_rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture(scope="session")
+def csv_20k(tmp_path_factory):
+    """A 20,000 x 20 CSV of shortest round-trip random features and +-1
+    labels, and the bytes of its feature matrix."""
+    rng = np.random.default_rng(7)
+    X = rng.normal(size=(20_000, 20))
+    y = np.where(X[:, 0] + X[:, 1] > 0.0, 1.0, -1.0)
+    path = tmp_path_factory.mktemp("csv_20k") / "data.csv"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join([f"x{j}" for j in range(20)] + ["label"]) + "\n")
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in np.column_stack([X, y]).tolist())
+    return str(path), X.nbytes

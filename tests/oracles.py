@@ -10,7 +10,10 @@ readers that parse every cell with ``float``, the stump search that
 loops over features in Python, one cumsum per feature, and the training
 loop that evaluates every logistic sigmoid afresh and builds every round
 statistic. ``z_value`` and ``exponential_weights`` recompute a normalizer
-and a distribution from scratch; only the tests call them.
+and a distribution from scratch, ``empirical_loss`` sums a model's losses
+over a dataset, and ``best_binary_stump`` and ``best_confidence_stump`` run
+the library's search once over a whole dataset under a checked
+distribution; only the tests call them.
 """
 
 import csv
@@ -22,9 +25,9 @@ import numpy as np
 from boostkit.boosting import AdditiveModel, RoundStats, alpha_binary, sign_pm1
 from boostkit.data import PRIOR_COLUMN, WEIGHT_COLUMN, Dataset, normalized
 from boostkit.errors import DataError, InvariantError
-from boostkit.losses import prob_positive
+from boostkit.losses import loss_values, prob_positive
 from boostkit.stumps import StumpSearchSpace as SearchSpace
-from boostkit.stumps import Stump, _best_binary, _best_confidence, confidence_output
+from boostkit.stumps import Stump, StumpSearchConfig, _best_binary, _best_confidence, confidence_output
 
 
 def sigmoid(x):
@@ -497,3 +500,46 @@ def best_confidence(space, D, y, smoothing):
         confidence_output(wp_l, wn_l, smoothing),
         confidence_output(wp_r, wn_r, smoothing),
     )
+
+
+def empirical_loss(model, ds, loss_kind: str) -> float:
+    """Unnormalized sum of per-example losses of y*f(x) over a dataset."""
+    if not ds.is_classification:
+        raise DataError("empirical loss requires classification labels")
+    margins = ds.labels * model.score(ds.features)
+    return float(np.sum(loss_values(margins, loss_kind)))
+
+
+def check_distribution(w, tol: float = 1e-9) -> None:
+    """Raise unless w is nonnegative and sums to 1 within tol."""
+    w = np.asarray(w)
+    if np.any(w < 0.0):
+        raise DataError("distribution has negative entries")
+    if abs(float(w.sum()) - 1.0) > tol:
+        raise DataError(f"distribution sums to {w.sum()!r}, not 1")
+
+
+def _require_classification(ds) -> None:
+    if not ds.is_classification:
+        raise DataError("stump search requires classification labels (-1/+1)")
+
+
+def best_binary_stump(ds, D):
+    """Minimum weighted-error stump with outputs in {-1, +1}, by the library's
+    search over every feature, candidate threshold and orientation; the
+    orientation flip guarantees the returned error is <= 1/2."""
+    _require_classification(ds)
+    D = np.asarray(D, dtype=np.float64)
+    check_distribution(D)
+    return _best_binary(SearchSpace(ds.features).split(ds.labels), D, D)
+
+
+def best_confidence_stump(ds, D, smoothing=None):
+    """Stump minimizing the two-sided normalizer surrogate
+    ``sum over sides of 2*sqrt((W+ + s)(W- + s))``, by the library's search;
+    the winner's outputs are the smoothed log-odds of its side masses."""
+    _require_classification(ds)
+    D = np.asarray(D, dtype=np.float64)
+    check_distribution(D)
+    s = StumpSearchConfig(mode="confidence", smoothing=smoothing).resolve_smoothing(ds.m)
+    return _best_confidence(SearchSpace(ds.features).split(ds.labels), D, D, s)

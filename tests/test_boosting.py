@@ -27,7 +27,8 @@ from boostkit.data import normalized, uniform_distribution
 from boostkit import boosting
 from boostkit.errors import BoostkitError, DataError, InvariantError, UsageError
 from boostkit.losses import sigmoid
-from boostkit.stumps import Stump, StumpSearchConfig, best_binary_stump
+from boostkit.stumps import Stump, StumpSearchConfig
+from oracles import best_binary_stump
 
 from conftest import Pinned, dataset, random_classification, stump_separable, xor_task
 

@@ -1,4 +1,9 @@
+import contextlib
+import gc
+import io
+import itertools
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +11,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from boostkit import data
+from boostkit.cli import main
 from boostkit.data import (
     Dataset,
     load_csv,
@@ -300,23 +307,25 @@ def with_path(old, path):
     return old
 
 
-def assert_reader_parity(path, **kwargs):
-    new, old = outcome(load_csv, path, **kwargs), outcome(oracles.load_csv, path, **kwargs)
-    old = with_path(old, path)
+def assert_same_outcome(new, old):
+    """The same error, or the same Dataset or matrix bit for bit."""
     if isinstance(old, tuple):
         assert isinstance(new, tuple) and new == old
-    else:
+    elif isinstance(old, Dataset):
         assert isinstance(new, Dataset)
         for field in ("features", "labels", "prior", "weights"):
             assert same_bits(getattr(new, field), getattr(old, field)), field
         assert (new.feature_names, new.label_name) == (old.feature_names, old.label_name)
-    kwargs.pop("prior_column", None)
-    new, old = outcome(load_features_csv, path, **kwargs), outcome(oracles.load_features_csv, path, **kwargs)
-    old = with_path(old, path)
-    if isinstance(old, tuple):
-        assert isinstance(new, tuple) and new == old
     else:
         assert same_bits(new, old)
+
+
+def assert_reader_parity(path, **kwargs):
+    assert_same_outcome(outcome(load_csv, path, **kwargs),
+                        with_path(outcome(oracles.load_csv, path, **kwargs), path))
+    kwargs.pop("prior_column", None)
+    assert_same_outcome(outcome(load_features_csv, path, **kwargs),
+                        with_path(outcome(oracles.load_features_csv, path, **kwargs), path))
 
 
 PARITY_CASES = {
@@ -400,3 +409,146 @@ def test_reader_parity_fuzz(tmp_path, data, header, newline):
     rows = data.draw(st.lists(row, max_size=5))
     path = write(tmp_path, newline.join([header] + [",".join(r) for r in rows]) + newline)
     assert_reader_parity(path)
+
+
+# Block sizes of the bulk parse: 1 byte reads one line per block, 7 and 64
+# bytes cut the long rows below into one or a few lines, and the default,
+# 256 KiB, holds about 1,400 of them.
+BLOCK_SIZES = [1, 7, 64, data._BLOCK_BYTES]
+
+
+def long_rows(n: int) -> list[list[str]]:
+    """A header and n rows of shortest round-trip doubles, about 190 bytes
+    each: 2,000 of them put the last rows in a later default block."""
+    rng = np.random.default_rng(11)
+    X = rng.normal(size=(n, 8))
+    y = np.where(X[:, 0] > 0.0, 1.0, -1.0)
+    cols = [*X.T, y, rng.uniform(0.0, 1.0, size=n), rng.uniform(0.1, 2.0, size=n)]
+    header = [f"x{j}" for j in range(8)] + ["label", "prior", "weight"]
+    return [header] + [list(map(repr, row)) for row in zip(*(c.tolist() for c in cols))]
+
+
+def later_row(rows, cells):
+    """rows with its second-to-last row's leading cells replaced."""
+    rows = [list(r) for r in rows]
+    rows[-2][:len(cells)] = cells
+    return rows
+
+
+def joined(rows, newline="\n", end=True) -> bytes:
+    return (newline.join(map(",".join, rows)) + (newline if end else "")).encode()
+
+
+BLOCK_CASES = {
+    "clean": lambda rows: joined(rows),
+    "short_row": lambda rows: joined(rows[:-2] + [rows[-2][:-1]] + rows[-1:]),
+    "bad_cell": lambda rows: joined(later_row(rows, ["0.5x"])),
+    "nan": lambda rows: joined(later_row(rows, ["nan"])),
+    "prior_out_of_range": lambda rows: joined(rows[:-2] + [rows[-2][:9] + ["1.5"] + rows[-2][10:]] + rows[-1:]),
+    "not_utf8": lambda rows: joined(rows).replace(b"\n" + ",".join(rows[-2]).encode(),
+                                                  b"\n\xff" + ",".join(rows[-2]).encode()),
+    "blank_lines": lambda rows: joined(rows[:-2] + [[""], [""]] + rows[-2:] + [[""]]),
+    "no_final_newline": lambda rows: joined(rows, end=False),
+    "crlf": lambda rows: joined(rows, "\r\n"),  # as save_csv ends its lines
+    "cr_only": lambda rows: joined(rows, "\r"),
+}
+
+
+BLOCK_READS = [(load_csv, {}), (load_features_csv, {}), (load_csv, {"label_column": "x0"}),
+               (load_features_csv, {"label_column": "x0"})]
+
+
+@pytest.fixture(scope="module")
+def block_files(tmp_path_factory):
+    """Each case's file and what the cell-by-cell reader gives for each of
+    BLOCK_READS; the oracle reads no non-UTF-8 file, which must end in the
+    error every reader gives it."""
+    d = tmp_path_factory.mktemp("blocks")
+    rows_of = {n: long_rows(n) for n in (40, 2_000)}
+    assert len(joined(rows_of[2_000])) > 1.4 * data._BLOCK_BYTES
+    oracle = {load_csv: oracles.load_csv, load_features_csv: oracles.load_features_csv}
+    files = {}
+    for (case, build), (n, rows) in itertools.product(BLOCK_CASES.items(), rows_of.items()):
+        path = str(d / f"{case}-{n}.csv")
+        with open(path, "wb") as fh:
+            fh.write(build(rows))
+        if case == "not_utf8":
+            error = (DataError, f"{path}: line {len(rows) - 1}: not valid UTF-8 (byte 0xff)")
+            files[case, n] = path, [error] * len(BLOCK_READS)
+            continue
+        files[case, n] = path, [with_path(outcome(oracle[read], path, **kw), path) for read, kw in BLOCK_READS]
+    return files
+
+
+@pytest.mark.parametrize("block_bytes", BLOCK_SIZES)
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+def test_blocks_match_cell_by_cell_oracle(block_files, monkeypatch, capsys, case, block_bytes):
+    """Every block size gives float() of each cell bit for bit, or the
+    error, exit code and `path: line N:` message of the cell-by-cell reader,
+    for defects in a later block too."""
+    monkeypatch.setattr(data, "_BLOCK_BYTES", block_bytes)
+    path, expected = block_files[case, 2_000 if block_bytes > 64 else 40]
+    for (read, kwargs), old in zip(BLOCK_READS, expected):
+        assert_same_outcome(outcome(read, path, **kwargs), old)
+    code = main(["train", "--data", path, "--rounds", "1", "--out", path + ".model"])
+    err = capsys.readouterr().err
+    if isinstance(expected[0], tuple):
+        assert (code, err) == (2, f"data error: {expected[0][1]}\n")
+        assert re.match(rf"{re.escape(path)}: line \d+[:,] ", expected[0][1])
+    else:
+        assert code == 0, err
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the peak bytes traced while it ran."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestReadMemory:
+    """The bulk parse writes into arrays allocated once, and a Dataset adopts
+    a read-only, owned, column-major matrix instead of copying it."""
+
+    @pytest.mark.parametrize("loader", [load_csv, load_features_csv])
+    def test_load_peaks_below_1_3_matrices(self, csv_20k, loader):
+        path, matrix_bytes = csv_20k
+        result, peak = traced_peak(loader, path)
+        X = result if isinstance(result, np.ndarray) else result.features
+        assert X.nbytes == matrix_bytes
+        assert peak < 1.3 * matrix_bytes, peak / matrix_bytes
+
+    def test_predict_peaks_below_matrix_plus_2mb(self, csv_20k, tmp_path):
+        path, matrix_bytes = csv_20k
+        small = tmp_path / "small.csv"
+        with open(path, encoding="utf-8") as fh:
+            small.write_text("".join(line for _, line in zip(range(301), fh)), encoding="utf-8")
+        model, out = str(tmp_path / "model.txt"), str(tmp_path / "pred.csv")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["train", "--data", str(small), "--rounds", "20", "--out", model]) == 0
+            code, peak = traced_peak(main, ["predict", "--model", model, "--data", path, "--out", out])
+        assert code == 0
+        assert peak < matrix_bytes + 2_000_000, peak - matrix_bytes
+
+    def test_read_only_owned_column_major_features_are_adopted(self):
+        X = np.asfortranarray(np.arange(12.0).reshape(4, 3))
+        X.flags.writeable = False
+        ds = dataset(X, [1.0, -1.0, 1.0, -1.0])
+        assert ds.features is X
+        assert ds.with_labels(np.ones(4)).features is X
+
+    def test_other_features_are_copied(self):
+        rows = np.arange(12.0).reshape(4, 3)
+        frozen_view = np.asfortranarray(rows)[:, :2]
+        frozen_view.flags.writeable = False
+        for X in (np.asfortranarray(rows), rows, frozen_view, np.asfortranarray(rows, dtype=np.float32)):
+            before = np.array(X, dtype=np.float64)
+            ds = dataset(X, [1.0, -1.0, 1.0, -1.0])
+            assert ds.features is not X
+            if X.flags.writeable:
+                X[0, 0] = 99.0
+                np.testing.assert_array_equal(ds.features, before)

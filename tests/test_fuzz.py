@@ -14,16 +14,17 @@ import math
 import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boostkit import cli
+from boostkit import cli, data
 from boostkit.cli import _CONFIG_KEYS, main
 from boostkit.config import load_config
-from boostkit.data import save_csv
+from boostkit.data import load_csv, load_features_csv, save_csv
 from boostkit.errors import BoostkitError
 from boostkit.model_io import load_model
 from boostkit.prior import load_rule_table
@@ -184,3 +185,29 @@ def test_loader_errors_name_path_and_line(inputs, name, ops):
             match = re.match(rf"{re.escape(path)}: line (\d+): ", str(exc))
             assert match, str(exc)
             assert 1 <= int(match.group(1)) <= lines, (str(exc), lines)
+
+
+def read_outcome(loader, path):
+    """What a CSV reader gives: its arrays, or the type and text of its error."""
+    try:
+        result = loader(path)
+    except Exception as exc:  # parity covers errors that are not DataError too
+        return type(exc), str(exc)
+    arrays = [result] if isinstance(result, np.ndarray) else [
+        result.features, result.labels, result.weights, result.prior]
+    return [None if a is None else (a.shape, a.tobytes()) for a in arrays]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["train.csv", "reg.csv"]), mutations, st.sampled_from([1, 7, 64]))
+def test_mutated_csv_reads_alike_in_any_block_size(inputs, name, ops, block_bytes):
+    """A mutated CSV read in blocks of a few bytes gives the arrays, bit for
+    bit, or the error that one whole-file block gives."""
+    d, _ = inputs
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "in")
+        Path(path).write_bytes(mutate((d / name).read_bytes(), ops))
+        for loader in (load_csv, load_features_csv):
+            whole = read_outcome(loader, path)
+            with mock.patch.object(data, "_BLOCK_BYTES", block_bytes):
+                assert read_outcome(loader, path) == whole

@@ -7,7 +7,6 @@ from boostkit.boosting import AdditiveModel, BoostConfig, train
 from boostkit.errors import DataError
 from boostkit.losses import (
     common_minimizer_check,
-    empirical_loss,
     log1pexp,
     loss_values,
     prob_positive,
@@ -17,6 +16,7 @@ from boostkit.losses import (
 from boostkit.stumps import Stump, StumpSearchConfig
 
 import oracles
+from oracles import empirical_loss
 from conftest import dataset, random_classification
 
 HALF_LN3 = 0.5493061443340549

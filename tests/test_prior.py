@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from boostkit.boosting import AdditiveModel, BoostConfig, train
 from boostkit.errors import DataError, UsageError
-from boostkit.losses import empirical_loss, log1pexp, sigmoid
+from boostkit.losses import log1pexp, sigmoid
 from boostkit.prior import (
     PriorConfig,
     PriorRule,
@@ -23,6 +23,7 @@ from boostkit.prior import (
 from boostkit.stumps import Stump, StumpSearchConfig
 
 from conftest import Pinned, dataset, random_classification
+from oracles import empirical_loss
 
 LN2 = 0.6931471805599453
 HALF_LN_4_3 = 0.14384103622589042

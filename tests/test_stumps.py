@@ -15,12 +15,11 @@ from boostkit.stumps import (
     StumpSearchSpace,
     _best_binary,
     _best_confidence,
-    best_binary_stump,
-    best_confidence_stump,
     confidence_output,
 )
 
 import oracles
+from oracles import best_binary_stump, best_confidence_stump
 from conftest import dataset
 
 HALF_LN3 = 0.5493061443340549
@@ -402,16 +401,21 @@ class TestBlockSearchOracle:
             _best_confidence(StumpSearchSpace(X), *_row_masses(D, y), 0.0)
         assert_search_matches_oracle(X, y, D, 0.0)
 
-    def test_signed_weights_clamp_right_masses(self, np_rng):
-        # Prefix sums of nonnegative masses never decrease, so the clamp on
-        # right-side masses only acts when some weights are negative.
-        for _ in range(20):
+    def test_right_masses_need_no_clamp(self, np_rng):
+        # Masses >= 0, signed zeros included, as every caller passes: prefix
+        # sums never decrease, so the search's unclamped right masses give
+        # the bits of the oracle, which clamps them at 0. Half the draws put
+        # -0.0 on every negative row, so that label's total is -0.0.
+        for draw in range(40):
             m = int(np_rng.integers(2, 40))
-            X = np_rng.normal(size=(m, 3))
+            X = np.round(np_rng.normal(size=(m, 3)), 1)
             y = np_rng.choice([-1.0, 1.0], size=m)
-            D = np_rng.uniform(-0.5, 1.0, size=m)
-            space, ref = StumpSearchSpace(X), oracles.StumpSearchSpace(X)
-            assert _bits(*_best_binary(space, *_row_masses(D, y))) == _bits(*oracles.best_binary(ref, D, y))
+            D = np_rng.uniform(0.0, 1.0, size=m)
+            zero = np_rng.uniform(size=m) < 0.3
+            D[zero] = np_rng.choice([-0.0, 0.0], size=int(zero.sum()))
+            if draw % 2:
+                D[y < 0.0] = -0.0
+            assert_search_matches_oracle(X, y, D, 1.0 / (2.0 * m))
 
     def test_tie_free_blocks_next_to_blocks_with_ties(self, np_rng):
         # m=1000: the 2**12 candidate bound cuts the features into blocks
