@@ -16,7 +16,6 @@ from .boosting import (
     alpha_line_search,
     bound_report,
     logistic_weights,
-    margins,
     train,
     update_distribution,
 )
@@ -87,7 +86,6 @@ __all__ = [
     "load_csv",
     "load_model",
     "logistic_weights",
-    "margins",
     "normalized",
     "prior_loss",
     "prob_positive",

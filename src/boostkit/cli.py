@@ -234,6 +234,10 @@ def cmd_train(opt: dict) -> int:
     label_col, out_path = opt["label_col"], opt["out"]
     ds = load_csv(opt["data"], label_column=label_col, prior_column=prior_col)
     eval_ds = load_csv(opt["test"], label_column=label_col) if opt["test"] else None
+    if eval_ds is not None and eval_ds.d != ds.d:
+        raise DataError(f"{opt['test']}: expected {ds.d} features as in {opt['data']}, got {eval_ds.d}")
+    if eval_ds is not None and not eval_ds.is_classification:
+        raise DataError(f"{opt['test']}: test data requires classification labels (-1/+1)")
 
     echo = _config_echo(
         [
@@ -305,7 +309,7 @@ def cmd_eval(opt: dict) -> int:
     yf = ds.labels * f
     error = float(np.mean(sign_pm1(f) != ds.labels))
     exp_loss = float(np.sum(loss_values(yf, "exponential")))
-    log_loss = float(np.sum(loss_values(yf, "logistic1")))
+    log_loss = float(np.sum(loss_values(yf, "logistic")))
     for name, value in (("exponential", exp_loss), ("logistic", log_loss)):
         if not math.isfinite(value):
             raise DataError(

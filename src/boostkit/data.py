@@ -88,11 +88,13 @@ class Dataset:
         y = _readonly(self.labels)
         if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] < 1:
             raise DataError("features must be a nonempty (m, d) matrix")
-        if not np.all(np.isfinite(X)):
+        # min and max are NaN if any entry is, and one of them is +-inf if
+        # any entry is: no (m, d) temporary
+        if not (math.isfinite(X.min()) and math.isfinite(X.max())):
             raise DataError("features must all be finite")
         if y.ndim != 1 or y.shape[0] != X.shape[0]:
             raise DataError("labels must be a length-m vector")
-        if not np.all(np.isfinite(y)):
+        if not (math.isfinite(y.min()) and math.isfinite(y.max())):
             raise DataError("labels must all be finite")
         object.__setattr__(self, "features", X)
         object.__setattr__(self, "labels", y)
@@ -127,10 +129,6 @@ class Dataset:
     @property
     def is_classification(self) -> bool:
         return bool(np.all((self.labels == 1.0) | (self.labels == -1.0)))
-
-    @property
-    def mode(self) -> str:
-        return "classification" if self.is_classification else "regression"
 
     def take(self, indices) -> "Dataset":
         """New Dataset containing the given rows, in the given order."""

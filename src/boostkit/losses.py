@@ -4,14 +4,15 @@ Three losses of the margin z = y*f(x):
 
 - ``exponential``: exp(-z), the objective the classic boosting update
   greedily minimizes.
-- ``logistic2``: ln(1 + exp(-2z)), the negative log-likelihood under the
-  two-sided link sigma(2f).
-- ``logistic1``: ln(1 + exp(-z)), the same up to a constant rescaling of f,
+- ``logistic``: ln(1 + exp(-z)), the loss of logistic-loss training,
   paired with the link sigma(f).
+- ``logistic2``: ln(1 + exp(-2z)), the negative log-likelihood under the
+  two-sided link sigma(2f): logistic at 2f, compared with exponential loss
+  by the loss-relation checks.
 
 The link is bound to the training loss and recorded in model files:
-exponential and logistic2 calibrate with sigma(2f); logistic1, the loss
-training calls ``logistic``, with sigma(f). :data:`LINKS` holds the binding.
+exponential calibrates with sigma(2f), logistic with sigma(f).
+:data:`LINKS` holds the binding.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ def loss_values(margins, kind: str):
         out = np.exp(-z)
     elif kind == "logistic2":
         out = log1pexp(-2.0 * z)
-    elif kind == "logistic1":
+    elif kind == "logistic":
         out = log1pexp(-z)
     else:
         raise DataError(f"unknown loss kind {kind!r}")
@@ -87,19 +88,15 @@ LINKS = {
     "logistic": Link("sigmoidf", 1.0),
 }
 
-# Margin losses and the training loss whose link each shares.
-_TRAINING_LOSS_OF = {"logistic1": "logistic", "logistic2": "exponential"}
-
 
 def prob_positive(f_value, loss_kind: str):
-    """Probability of label +1 implied by score f under a loss's link.
+    """Probability of label +1 implied by score f under a training loss's link.
 
-    Takes a training or a margin loss: exponential and logistic2 use
-    sigma(2f); logistic and logistic1 use sigma(f). Accepts scalars or
+    Exponential uses sigma(2f) and logistic sigma(f). Accepts scalars or
     arrays; result is always strictly inside (0, 1) for finite f up to float
     saturation. A non-finite score is an error naming the first such row.
     """
-    link = LINKS.get(_TRAINING_LOSS_OF.get(loss_kind, loss_kind))
+    link = LINKS.get(loss_kind)
     if link is None:
         raise DataError(f"unknown loss kind {loss_kind!r}")
     f = np.asarray(f_value, dtype=np.float64)
@@ -182,14 +179,14 @@ def taylor_match_check(step: float = 1e-4, tol: float = 1e-5) -> CheckReport:
     return CheckReport(tuple(items))
 
 
-def _golden_section_min(fn, lo: float, hi: float, tol: float = 1e-10) -> float:
-    """Minimizer of a unimodal function on [lo, hi]."""
+def _golden_section_min(fn, lo: float, hi: float) -> float:
+    """Minimizer of a unimodal function on [lo, hi], to an interval of 1e-10."""
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
     fc, fd = fn(c), fn(d)
-    while b - a > tol:
+    while b - a > 1e-10:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)

@@ -1,15 +1,16 @@
 """Boosting that balances training data against a hand-built probability rule.
 
-The objective adds, to the logistic loss of the data, an eta-weighted binary
-relative entropy between the rule's probability p(x) and the model's
-sigmoid(f(x)). It equals, up to an additive constant (the entropy of p), the
-weighted logistic loss of an augmented example set: each original example
-contributes itself with its base weight plus a (+1, weight eta*p) and a
-(-1, weight eta*(1-p)) copy (:func:`augment_with_prior`). The copies share
-the example's features and score, so training folds them back into it:
-each of the m rows carries a mass on its own label (base weight plus the
-copy with the same label) and a mass on the other label, and the booster
-runs logistic boosting over these soft labels.
+The objective adds, to the base-weighted logistic loss of the data, an
+eta-weighted binary relative entropy between the rule's probability p(x) and
+the model's sigmoid(f(x)). It equals, up to an additive constant (eta times
+the summed entropy of p), the weighted logistic loss of an augmented example
+set: each original example contributes itself with its base weight plus a
+(+1, weight eta*p) and a (-1, weight eta*(1-p)) copy
+(:func:`augment_with_prior`). The copies share the example's features and
+score, so training folds them back into it: each of the m rows carries a
+mass on its own label (base weight plus the copy with the same label) and a
+mass on the other label, and the booster runs logistic boosting over these
+soft labels.
 """
 
 from __future__ import annotations
@@ -143,15 +144,18 @@ def _resolve_prior(ds: Dataset, prior) -> np.ndarray:
 
 def prior_objective(
     f_values: np.ndarray,
-    labels: np.ndarray,
+    ds: Dataset,
     p: np.ndarray,
     eta: float,
     epsilon_clip: float,
 ) -> float:
-    """Logistic loss of the scores plus eta times RE(p || clipped sigmoid(f))."""
+    """Base-weighted logistic loss of the scores plus eta * RE(p || clipped sigmoid(f)).
+
+    That is the augmented set's weighted logistic loss minus eta * sum H(p).
+    """
     f = np.asarray(f_values, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.float64)
-    data_term = float(np.sum(log1pexp(-(y * f))))
+    base = ds.weights if ds.weights is not None else 1.0
+    data_term = float(np.sum(base * log1pexp(-(ds.labels * f))))
     q = np.clip(sigmoid(f), epsilon_clip, 1.0 - epsilon_clip)
     return data_term + eta * float(np.sum(relative_entropy(p, q)))
 
@@ -161,7 +165,7 @@ def prior_loss(model: AdditiveModel, ds: Dataset, prior, cfg: PriorConfig) -> fl
     if not ds.is_classification:
         raise DataError("prior training requires classification labels")
     p = _resolve_prior(ds, prior)
-    return prior_objective(model.score(ds.features), ds.labels, p, cfg.eta, cfg.epsilon_clip)
+    return prior_objective(model.score(ds.features), ds, p, cfg.eta, cfg.epsilon_clip)
 
 
 def augment_with_prior(ds: Dataset, prior, eta: float) -> Dataset:
@@ -253,7 +257,7 @@ def train_with_prior(
     f = np.zeros(ds.m)
     for (alpha, stump), s in zip(model.terms, stats):
         f += alpha * stump.evaluate_matrix(ds.features)
-        s.prior_loss = prior_objective(f, ds.labels, p, prior_cfg.eta, prior_cfg.epsilon_clip)
+        s.prior_loss = prior_objective(f, ds, p, prior_cfg.eta, prior_cfg.epsilon_clip)
         wrong = sign_pm1(f) != ds.labels
         s.train_error = int(np.sum(np.where(wrong, own_rows, flip_rows))) / n_rows
     return model, stats

@@ -40,9 +40,6 @@ class RngState:
         self.seed = int(seed) & _MASK64
         self.counter = int(counter)
 
-    def __repr__(self) -> str:
-        return f"RngState(seed={self.seed}, counter={self.counter})"
-
     def next_uint64(self) -> int:
         self.counter += 1
         z = (self.seed + self.counter * _GAMMA) & _MASK64

@@ -99,18 +99,6 @@ class Stump:
     def is_binary(self) -> bool:
         return abs(self.left_output) == 1.0 and abs(self.right_output) == 1.0
 
-    def evaluate(self, x) -> float:
-        """Output for a single feature vector."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 1:
-            raise DataError("evaluate expects a single feature vector")
-        if not 0 <= self.feature_index < x.shape[0]:
-            raise DataError(
-                f"feature index {self.feature_index} out of range for {x.shape[0]} features"
-            )
-        v = float(x[self.feature_index])
-        return self.left_output if v <= self.threshold else self.right_output
-
     def evaluate_matrix(self, X: np.ndarray) -> np.ndarray:
         """Outputs for every row of an (n, d) matrix."""
         X = np.asarray(X, dtype=np.float64)

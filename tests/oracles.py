@@ -11,9 +11,11 @@ loops over features in Python, one cumsum per feature, and the training
 loop that evaluates every logistic sigmoid afresh and builds every round
 statistic. ``z_value`` and ``exponential_weights`` recompute a normalizer
 and a distribution from scratch, ``empirical_loss`` sums a model's losses
-over a dataset, and ``best_binary_stump`` and ``best_confidence_stump`` run
-the library's search once over a whole dataset under a checked
-distribution; only the tests call them.
+over a dataset, ``evaluate`` gives one stump's output on one row,
+``margins`` a model's normalized margins over a dataset, and
+``best_binary_stump`` and ``best_confidence_stump`` run the library's
+search once over a whole dataset under a checked distribution; only the
+tests call them.
 """
 
 import csv
@@ -22,7 +24,7 @@ import sys
 
 import numpy as np
 
-from boostkit.boosting import AdditiveModel, RoundStats, alpha_binary, sign_pm1
+from boostkit.boosting import AdditiveModel, RoundStats, alpha_binary, normalized_margins, sign_pm1
 from boostkit.data import PRIOR_COLUMN, WEIGHT_COLUMN, Dataset, normalized
 from boostkit.errors import DataError, InvariantError
 from boostkit.losses import loss_values, prob_positive
@@ -112,12 +114,28 @@ def alpha_logistic_line_search(w, f, h, y, cap=35.0, tol=1e-10, flip=None):
     return _newton_1d(dl, d2l, -a_cap, a_cap, tol)
 
 
+def evaluate(stump, x):
+    """One stump's output for a single feature vector."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 1:
+        raise DataError("evaluate expects a single feature vector")
+    if not 0 <= stump.feature_index < x.shape[0]:
+        raise DataError(f"feature index {stump.feature_index} out of range for {x.shape[0]} features")
+    v = float(x[stump.feature_index])
+    return stump.left_output if v <= stump.threshold else stump.right_output
+
+
 def score_one(model, x):
     """f(x) for one row, one term at a time from 0.0."""
     f = 0.0
     for alpha, stump in model.terms:
-        f += alpha * stump.evaluate(x)
+        f += alpha * evaluate(stump, x)
     return f
+
+
+def margins(model, ds):
+    """Normalized confidences y*f(x) / sum|alpha| for every example."""
+    return normalized_margins(model, ds.labels * model.score(ds.features))
 
 
 def score(model, X):
@@ -277,7 +295,7 @@ def masses_from_scores(q_raw):
 
 
 def conditional_masses(model, x):
-    q = np.array([prob_positive(score_one(c, x), "logistic1") for c in model.classifiers])
+    q = np.array([prob_positive(score_one(c, x), "logistic") for c in model.classifiers])
     return masses_from_scores(q)
 
 

@@ -17,7 +17,6 @@ from boostkit.boosting import (
     alpha_logistic_line_search,
     bound_report,
     logistic_weights,
-    margins,
     sign_pm1,
     stats_csv_rows,
     train,
@@ -102,11 +101,11 @@ class TestAlphaLineSearch:
         h = np.array([1.0, -1.0])
         assert alpha_line_search(uniform_distribution(2), h, y) == pytest.approx(0.0, abs=1e-10)
 
-    def test_all_zero_outputs_error(self):
-        y = np.array([1.0, -1.0])
-        h = np.zeros(2)
-        with pytest.raises(DataError, match="uninformative"):
-            alpha_line_search(uniform_distribution(2), h, y)
+    def test_zero_outputs_where_there_is_mass_give_zero(self):
+        # Z is flat in alpha: the fit has converged
+        y = np.array([1.0, -1.0, 1.0])
+        assert alpha_line_search(np.array([0.5, 0.5, 0.0]), np.zeros(3), y) == 0.0
+        assert alpha_line_search(np.array([0.5, 0.5, 0.0]), np.array([0.0, -0.0, 1.0]), y) == 0.0
 
     def test_subnormal_outputs_keep_alpha_finite(self):
         # cap / max|h| overflows; an infinite alpha would make alpha * 0 a NaN
@@ -446,8 +445,11 @@ class TestLineSearchSigmoidHandOff:
         w, f, h, y, flip = inputs
         mass = w > 0.0 if flip is None else w + flip > 0.0
         if not np.any(mass & (h != 0.0)):
-            with pytest.raises(DataError, match="uninformative"):
-                alpha_logistic_line_search(w, f, h, y, flip_weights=flip, s=sigmoid(-(y * f)))
+            # converged: alpha is 0 and s is not touched
+            s = sigmoid(-(y * f))
+            before = s.copy()
+            assert alpha_logistic_line_search(w, f, h, y, flip_weights=flip, s=s) == 0.0
+            assert s.tobytes() == before.tobytes()
             return
         with np.errstate(all="ignore"):
             alpha = self.run(w, f, h, y, flip)
@@ -455,7 +457,7 @@ class TestLineSearchSigmoidHandOff:
 
     def test_fresh_sigmoids_when_the_last_step_was_elsewhere(self, monkeypatch, np_rng):
         # Newton returning a point it did not evaluate, as after 200 steps
-        def unevaluated(derivs, cap, tol):
+        def unevaluated(derivs, cap):
             derivs(0.0)
             return 0.3 * cap
 
@@ -663,6 +665,11 @@ class TestTrain:
         with pytest.raises(DataError):
             train(ds, binary_config(1))
 
+    def test_regression_eval_labels_rejected(self, np_rng):
+        ds = random_classification(np_rng, 10, 1)
+        with pytest.raises(DataError, match="eval data requires classification labels"):
+            train(ds, binary_config(1), eval_ds=dataset([[1.0], [2.0]], [0.5, 2.0]))
+
     def test_deterministic(self, np_rng):
         ds = random_classification(np_rng, 30, 3)
         m1, s1 = train(ds, binary_config(7))
@@ -713,12 +720,12 @@ class TestMargins:
     def test_single_correct_stump(self):
         model = AdditiveModel(((0.8, Stump(0, 0.0, -1.0, 1.0)),), "exponential")
         ds = dataset([[1.0]], [1.0])
-        assert margins(model, ds)[0] == pytest.approx(1.0, abs=1e-15)
+        assert oracles.margins(model, ds)[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_single_misclassifying_stump(self):
         model = AdditiveModel(((0.8, Stump(0, 0.0, -1.0, 1.0)),), "exponential")
         ds = dataset([[1.0]], [-1.0])
-        assert margins(model, ds)[0] == pytest.approx(-1.0, abs=1e-15)
+        assert oracles.margins(model, ds)[0] == pytest.approx(-1.0, abs=1e-15)
 
     def test_disagreeing_stumps_cancel(self):
         # x=1 falls right of the first stump (+1) and left of the second (-1)
@@ -728,12 +735,12 @@ class TestMargins:
         )
         model = AdditiveModel(terms, "exponential")
         ds = dataset([[1.0]], [1.0])
-        assert margins(model, ds)[0] == 0.0
+        assert oracles.margins(model, ds)[0] == 0.0
 
     def test_zero_total_alpha_rejected(self):
         model = AdditiveModel(((0.0, Stump(0, 0.0, -1.0, 1.0)),), "exponential")
         with pytest.raises(DataError):
-            margins(model, dataset([[1.0]], [1.0]))
+            oracles.margins(model, dataset([[1.0]], [1.0]))
 
 
 class TestBoundReport:

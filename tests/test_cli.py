@@ -141,6 +141,25 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert f"data error: {bad}: line 3, column 'f0': cannot parse 'np.float64(0.3)'" in err
 
+    def test_real_valued_test_labels_name_the_test_file(self, tmp_path, random_csv, capsys):
+        test = tmp_path / "test.csv"
+        test.write_text("f0,f1,label\n0.1,0.2,1\n0.3,0.4,2.5\n")
+        out = tmp_path / "m.txt"
+        code = main(["train", "--data", random_csv, "--test", str(test), "--rounds", "2", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {test}: ") and "classification labels" in err
+        assert not out.exists()
+
+    def test_test_feature_count_mismatch_names_the_test_file(self, tmp_path, random_csv, np_rng, capsys):
+        test = write_dataset(tmp_path, random_classification(np_rng, 5, 3), "test.csv")
+        out = tmp_path / "m.txt"
+        code = main(["train", "--data", random_csv, "--test", test, "--rounds", "2", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {test}: expected 2 features") and "got 3" in err
+        assert not out.exists()
+
     def test_eta_with_exponential_loss_rejected(self, tmp_path, np_rng):
         ds = random_classification(np_rng, 10, 1)
         ds = dataset(ds.features, ds.labels, prior=np.full(10, 0.5))

@@ -64,7 +64,6 @@ class TestLoadCsv:
         path = write(tmp_path, "a,label\n1,1.5\n2,2.0\n3,2.5\n4,3.0\n")
         ds = load_csv(path)
         assert not ds.is_classification
-        assert ds.mode == "regression"
 
     def test_row_order_preserved(self, tmp_path):
         path = write(tmp_path, "a,label\n9,1\n3,-1\n7,1\n")
@@ -155,6 +154,16 @@ class TestDatasetInvariants:
     def test_nan_features_rejected(self):
         with pytest.raises(DataError):
             dataset([[np.nan]], [1.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, (np.inf, -np.inf), (np.nan, np.inf)])
+    @pytest.mark.parametrize("where", ["features", "labels"])
+    def test_every_nonfinite_value_rejected(self, bad, where):
+        X = np.asfortranarray(np.arange(40.0).reshape(10, 4))
+        y = np.where(np.arange(10) % 2 == 0, 1.0, -1.0)
+        target = X[:, 2] if where == "features" else y
+        target[[7, 3][:np.size(bad)]] = bad
+        with pytest.raises(DataError, match=f"^{where} must all be finite$"):
+            dataset(X, y)
 
     def test_negative_weights_rejected(self):
         with pytest.raises(DataError):
@@ -540,6 +549,15 @@ class TestReadMemory:
         ds = dataset(X, [1.0, -1.0, 1.0, -1.0])
         assert ds.features is X
         assert ds.with_labels(np.ones(4)).features is X
+
+    def test_adopted_dataset_peaks_below_64kb(self):
+        # the finiteness checks make no temporary of the matrix's shape
+        X = np.asfortranarray(np.arange(400_000.0).reshape(20_000, 20))
+        y = np.where(np.arange(20_000) % 2 == 0, 1.0, -1.0)
+        X.flags.writeable = y.flags.writeable = False
+        ds, peak = traced_peak(Dataset, X, y)
+        assert ds.features is X and ds.labels is y
+        assert peak < 64 * 1024, peak
 
     def test_other_features_are_copied(self):
         rows = np.arange(12.0).reshape(4, 3)

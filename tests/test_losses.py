@@ -101,27 +101,36 @@ class TestLog1pexpOracle:
 
 class TestProbPositive:
     def test_zero_score_is_half(self):
-        for kind in ("exponential", "logistic2", "logistic1"):
+        for kind in ("exponential", "logistic"):
             assert prob_positive(0.0, kind) == 0.5
 
     def test_two_sided_link_value(self):
         # score half-log-odds of 3:1 gives probability 3/4
         assert prob_positive(HALF_LN3, "exponential") == pytest.approx(0.75, abs=1e-12)
-        assert prob_positive(HALF_LN3, "logistic2") == pytest.approx(0.75, abs=1e-12)
+
+    def test_margin_loss_names_rejected(self):
+        # links are named by training loss only; logistic2 is a margin loss,
+        # and the logistic loss has the one name
+        for kind in ("logistic2", "logistic1"):
+            with pytest.raises(DataError, match="unknown loss kind"):
+                prob_positive(0.0, kind)
+        with pytest.raises(DataError, match="unknown loss kind"):
+            loss_values(0.0, "logistic1")
+        assert loss_values(0.0, "logistic") == LN2
 
     def test_one_sided_link_value(self):
-        assert prob_positive(math.log(3.0), "logistic1") == pytest.approx(0.75, abs=1e-12)
+        assert prob_positive(math.log(3.0), "logistic") == pytest.approx(0.75, abs=1e-12)
 
     def test_saturation(self):
         assert prob_positive(50.0, "exponential") == pytest.approx(1.0, abs=1e-15)
 
     def test_nonfinite_rejected(self):
         with pytest.raises(DataError):
-            prob_positive(math.inf, "logistic1")
+            prob_positive(math.inf, "logistic")
 
     def test_increasing_and_complementary(self, np_rng):
         f = np.sort(np_rng.uniform(-30, 30, size=500))
-        for kind in ("exponential", "logistic1"):
+        for kind in ("exponential", "logistic"):
             p = prob_positive(f, kind)
             assert np.all(np.diff(p) >= 0)
             np.testing.assert_allclose(p + prob_positive(-f, kind), 1.0, atol=1e-12)
