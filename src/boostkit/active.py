@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boosting import AdditiveModel, BoostConfig, sign_pm1, train
+from .boosting import AdditiveModel, BoostConfig, error_rate, train
 from .data import Dataset
 from .errors import DataError, UsageError
 from .rng import RngState
@@ -137,38 +137,27 @@ def simulate(ds: Dataset, test: Dataset, cfg: ActiveConfig) -> ActiveResult:
     pool = Pool(ds)
     result = ActiveResult()
 
-    init_ids = rng.sample(ds.m, cfg.init_batch)
-    pool.acquire(init_ids)
-    result.acquisitions.append([int(i) for i in init_ids])
-    model, _ = train(pool.labeled_dataset(), cfg.boost, _stats=False)
-    result.points.append(
-        CurvePoint(cfg.strategy, cfg.seed, 0, pool.budget_used, _error(model, test))
-    )
-
-    for it in range(1, cfg.iterations + 1):
-        remaining = pool.unlabeled_ids()
-        if remaining.shape[0] == 0:
-            result.truncated = True
-            break
-        if remaining.shape[0] < cfg.batch:
-            result.truncated = True
-        if cfg.strategy == "uncertainty":
-            ids = select_queries(model, pool, cfg.batch)
+    for it in range(cfg.iterations + 1):
+        if it == 0:
+            ids = rng.sample(ds.m, cfg.init_batch)
         else:
-            take = min(cfg.batch, remaining.shape[0])
-            ids = [int(i) for i in rng.choice(remaining, take)]
+            remaining = pool.unlabeled_ids()
+            if remaining.shape[0] < cfg.batch:
+                result.truncated = True
+            if remaining.shape[0] == 0:
+                break
+            if cfg.strategy == "uncertainty":
+                ids = select_queries(model, pool, cfg.batch)
+            else:
+                ids = rng.choice(remaining, min(cfg.batch, remaining.shape[0]))
+        ids = [int(i) for i in ids]
         pool.acquire(ids)
-        result.acquisitions.append(list(ids))
+        result.acquisitions.append(ids)
         model, _ = train(pool.labeled_dataset(), cfg.boost, _stats=False)
-        result.points.append(
-            CurvePoint(cfg.strategy, cfg.seed, it, pool.budget_used, _error(model, test))
-        )
+        error = error_rate(model.score(test.features), test.labels)
+        result.points.append(CurvePoint(cfg.strategy, cfg.seed, it, pool.budget_used, error))
 
     return result
-
-
-def _error(model: AdditiveModel, test: Dataset) -> float:
-    return float(np.mean(sign_pm1(model.score(test.features)) != test.labels))
 
 
 CURVE_CSV_COLUMNS = ("strategy", "seed", "iteration", "labels_used", "test_error")

@@ -43,6 +43,12 @@ def sign_pm1(f) -> np.ndarray:
     return np.where(np.asarray(f, dtype=np.float64) >= 0.0, 1.0, -1.0)
 
 
+def error_rate(f: np.ndarray, labels: np.ndarray) -> float:
+    """Share of rows whose label is not sign(f), with sign(0) = +1."""
+    # count / m is the double np.mean gives; int() keeps it a Python float
+    return int(np.count_nonzero((f >= 0.0) != (labels > 0.0))) / labels.shape[0]
+
+
 @dataclass(frozen=True)
 class AdditiveModel:
     """Weighted sum of stumps; immutable and safe to share."""
@@ -493,9 +499,7 @@ class RoundAccounting:
             z = math.exp(log_surrogate - self._log_surrogate)
             self._log_surrogate = log_surrogate
         self.prod_z *= z
-        # count / m is the double np.mean gives; int() keeps it a Python float
-        train_error = int(np.count_nonzero((self.f >= 0.0) != self.pos)) / self.y.shape[0]
-        return RoundStats(t, epsilon, 0.5 - epsilon, z, self.prod_z, train_error)
+        return RoundStats(t, epsilon, 0.5 - epsilon, z, self.prod_z, error_rate(self.f, self.y))
 
     def loss(self) -> float:
         """Base-weighted training loss of f."""
@@ -570,7 +574,10 @@ def train(
                 alpha = alpha_binary(epsilon)
                 clamped = epsilon <= 0.0 or epsilon >= 1.0
             elif strategy == "unit":
-                alpha, clamped = 1.0, False
+                # capped like the others: |alpha * output| <= ALPHA_CAP
+                top = max(abs(stump.left_output), abs(stump.right_output))
+                alpha = 1.0 if top <= ALPHA_CAP else ALPHA_CAP / top
+                clamped = alpha < 1.0
             else:
                 if cfg.loss_kind == "exponential":
                     alpha = alpha_line_search(D, h, y)
@@ -589,7 +596,7 @@ def train(
         s.loss, s.clamped = rounds.loss(), clamped
         if eval_ds is not None:
             f_eval = f_eval + alpha * stump.evaluate_matrix(eval_ds.features)
-            s.test_error = float(np.mean(sign_pm1(f_eval) != eval_ds.labels))
+            s.test_error = error_rate(f_eval, eval_ds.labels)
         stats.append(s)
 
     return AdditiveModel(tuple(terms), cfg.loss_kind), stats

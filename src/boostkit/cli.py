@@ -23,6 +23,7 @@ from .boosting import (
     BoostConfig,
     RoundAccounting,
     bound_report,
+    error_rate,
     normalized_margins,
     sign_pm1,
     stats_csv_rows,
@@ -219,6 +220,15 @@ def _config_echo(pairs: list[tuple[str, object]]) -> str:
     return ";".join(f"{k}={v}" for k, v in pairs)
 
 
+def _classification_csv(opt: dict, key: str, use: str, prior_column: str | None = None):
+    """The Dataset in the CSV file that option ``key`` names, whose labels
+    must be -1/+1: ``use`` says what needs them."""
+    ds = load_csv(opt[key], label_column=opt["label_col"], prior_column=prior_column)
+    if not ds.is_classification:
+        raise DataError(f"{opt[key]}: {use} requires classification labels (-1/+1)")
+    return ds
+
+
 def cmd_train(opt: dict) -> int:
     prior_col, prior_rules, eta = opt["prior_col"], opt["prior_rules"], opt["eta"]
     if eta is not None and prior_col is None and prior_rules is None:
@@ -232,12 +242,10 @@ def cmd_train(opt: dict) -> int:
         raise UsageError("training with a prior requires --loss logistic")
 
     label_col, out_path = opt["label_col"], opt["out"]
-    ds = load_csv(opt["data"], label_column=label_col, prior_column=prior_col)
-    eval_ds = load_csv(opt["test"], label_column=label_col) if opt["test"] else None
+    ds = _classification_csv(opt, "data", "training", prior_column=prior_col)
+    eval_ds = _classification_csv(opt, "test", "test data") if opt["test"] else None
     if eval_ds is not None and eval_ds.d != ds.d:
         raise DataError(f"{opt['test']}: expected {ds.d} features as in {opt['data']}, got {eval_ds.d}")
-    if eval_ds is not None and not eval_ds.is_classification:
-        raise DataError(f"{opt['test']}: test data requires classification labels (-1/+1)")
 
     echo = _config_echo(
         [
@@ -268,7 +276,8 @@ def cmd_train(opt: dict) -> int:
 
 def _model_and_data(opt: dict, mode: str, labeled: bool = False):
     """The --model file, which must be a model of the given mode, and the
-    --data rows to score with it: a Dataset if labeled, else the features."""
+    --data rows to score with it: a Dataset of -1/+1 labels if labeled, else
+    the features."""
     path = opt["model"]
     loaded = load_model(path)
     if loaded.mode != mode:
@@ -276,7 +285,7 @@ def _model_and_data(opt: dict, mode: str, labeled: bool = False):
                       else ("classifier", "train/predict/eval"))
         raise DataError(f"{path}: is a {other} model; use {use}")
     if labeled:
-        data = load_csv(opt["data"], label_column=opt["label_col"])
+        data = _classification_csv(opt, "data", "eval")
         X = data.features
     else:
         data = X = load_features_csv(opt["data"], label_column=opt["label_col"])
@@ -300,14 +309,12 @@ def cmd_predict(opt: dict) -> int:
 
 def cmd_eval(opt: dict) -> int:
     loaded, ds = _model_and_data(opt, "classify", labeled=True)
-    if not ds.is_classification:
-        raise DataError("eval requires classification labels")
     model = loaded.model
 
     f = model.score(ds.features)
     check_finite_scores(f)
     yf = ds.labels * f
-    error = float(np.mean(sign_pm1(f) != ds.labels))
+    error = error_rate(f, ds.labels)
     exp_loss = float(np.sum(loss_values(yf, "exponential")))
     log_loss = float(np.sum(loss_values(yf, "logistic")))
     for name, value in (("exponential", exp_loss), ("logistic", log_loss)):
@@ -413,9 +420,9 @@ def cmd_cde_quantile(opt: dict) -> int:
 
 
 def cmd_active(opt: dict) -> int:
-    ds = load_csv(opt["data"], label_column=opt["label_col"])
+    ds = _classification_csv(opt, "data", "active learning")
     if opt["test"]:
-        test = load_csv(opt["test"], label_column=opt["label_col"])
+        test = _classification_csv(opt, "test", "active learning")
     else:
         ds, test = split(ds, opt["test_fraction"], RngState(opt["split_seed"]))
     cfg = _boost_config(opt, opt["loss"] or "exponential", default_stumps="confidence")

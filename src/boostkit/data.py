@@ -42,7 +42,7 @@ import os
 import tempfile
 import warnings
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -133,23 +133,12 @@ class Dataset:
     def take(self, indices) -> "Dataset":
         """New Dataset containing the given rows, in the given order."""
         idx = np.asarray(indices, dtype=np.int64)
-        return Dataset(
+        return replace(
+            self,
             features=self.features[idx],
             labels=self.labels[idx],
             prior=None if self.prior is None else self.prior[idx],
             weights=None if self.weights is None else self.weights[idx],
-            feature_names=self.feature_names,
-            label_name=self.label_name,
-        )
-
-    def with_labels(self, labels: np.ndarray) -> "Dataset":
-        """Same features/weights, different labels; prior is dropped."""
-        return Dataset(
-            features=self.features,
-            labels=labels,
-            weights=self.weights,
-            feature_names=self.feature_names,
-            label_name=self.label_name,
         )
 
 

@@ -13,7 +13,7 @@ label range.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -159,7 +159,7 @@ def train_cde(ds: Dataset, k: int, cfg: BoostConfig) -> ConditionalDensityModel:
             classifiers.append(_constant_classifier(n_pos, ds.m))
             flags.append(True)
             continue
-        model, _ = train(ds.with_labels(z), cfg, _space=space, _stats=False)
+        model, _ = train(replace(ds, labels=z, prior=None), cfg, _space=space, _stats=False)
         classifiers.append(model)
         flags.append(False)
     return ConditionalDensityModel(bps, tuple(classifiers), tuple(flags))

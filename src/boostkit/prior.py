@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .boosting import AdditiveModel, BoostConfig, RoundStats, sign_pm1, train
+from .boosting import AdditiveModel, BoostConfig, RoundStats, _base_weights, sign_pm1, train
 from .data import Dataset
 from .errors import DataError, TextLines, UsageError
 from .losses import log1pexp, sigmoid
@@ -154,8 +154,7 @@ def prior_objective(
     That is the augmented set's weighted logistic loss minus eta * sum H(p).
     """
     f = np.asarray(f_values, dtype=np.float64)
-    base = ds.weights if ds.weights is not None else 1.0
-    data_term = float(np.sum(base * log1pexp(-(ds.labels * f))))
+    data_term = float(np.sum(_base_weights(ds) * log1pexp(-(ds.labels * f))))
     q = np.clip(sigmoid(f), epsilon_clip, 1.0 - epsilon_clip)
     return data_term + eta * float(np.sum(relative_entropy(p, q)))
 
@@ -180,20 +179,13 @@ def augment_with_prior(ds: Dataset, prior, eta: float) -> Dataset:
     if eta < 0.0:
         raise UsageError("eta must be nonnegative")
     p = _resolve_prior(ds, prior)
-    base = ds.weights if ds.weights is not None else np.ones(ds.m)
     feats = np.vstack((ds.features, ds.features, ds.features))
     labels = np.concatenate((ds.labels, np.ones(ds.m), -np.ones(ds.m)))
-    weights = np.concatenate((base, eta * p, eta * (1.0 - p)))
+    weights = np.concatenate((_base_weights(ds), eta * p, eta * (1.0 - p)))
     keep = weights > 0.0
     if not np.any(keep):
         raise DataError("all augmented weights are zero")
-    return Dataset(
-        features=feats[keep],
-        labels=labels[keep],
-        weights=weights[keep],
-        feature_names=ds.feature_names,
-        label_name=ds.label_name,
-    )
+    return replace(ds, features=feats[keep], labels=labels[keep], prior=None, weights=weights[keep])
 
 
 def _fold(ds: Dataset, p: np.ndarray, eta: float):
@@ -203,7 +195,7 @@ def _fold(ds: Dataset, p: np.ndarray, eta: float):
     of weight zero are dropped), so error rates over the augmented rows can
     be counted exactly.
     """
-    base = ds.weights if ds.weights is not None else np.ones(ds.m)
+    base = _base_weights(ds)
     to_pos, to_neg = eta * p, eta * (1.0 - p)
     pos = ds.labels > 0.0
     own = base + np.where(pos, to_pos, to_neg)
@@ -242,13 +234,7 @@ def train_with_prior(
     own, flip, own_rows, flip_rows = _fold(ds, p, prior_cfg.eta)
     n_rows = int(np.sum(own_rows) + np.sum(flip_rows))
     keep = own + flip > 0.0
-    folded = Dataset(
-        features=ds.features[keep],
-        labels=ds.labels[keep],
-        weights=own[keep],
-        feature_names=ds.feature_names,
-        label_name=ds.label_name,
-    )
+    folded = replace(ds, features=ds.features[keep], labels=ds.labels[keep], prior=None, weights=own[keep])
     smoothing = boost_cfg.stumps.resolve_smoothing(n_rows)
     cfg = replace(boost_cfg, stumps=replace(boost_cfg.stumps, smoothing=smoothing))
     flip = flip[keep]

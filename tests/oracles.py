@@ -244,7 +244,9 @@ def train(ds, cfg, eval_ds=None, flip=None):
             alpha = alpha_binary(epsilon)
             clamped = epsilon <= 0.0 or epsilon >= 1.0
         elif strategy == "unit":
-            alpha, clamped = 1.0, False
+            top = max(abs(stump.left_output), abs(stump.right_output))
+            alpha = min(1.0, 35.0 / top) if top > 0.0 else 1.0
+            clamped = alpha < 1.0
         else:
             support = (base if flip is None else base + flip) > 0.0 if logistic else D > 0.0
             if not np.any(h[support] != 0.0):

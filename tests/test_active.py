@@ -194,6 +194,7 @@ class TestSimulate:
         monkeypatch.setattr(active_mod, "train", spy)
         cfg = self.config("uncertainty", seed=2)
         result = simulate(ds, test, cfg)
+        assert len(seen) == len(result.acquisitions) == cfg.iterations + 1
         acquired = []
         for step, sub in zip(result.acquisitions, seen):
             acquired.extend(step)

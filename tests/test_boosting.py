@@ -16,6 +16,7 @@ from boostkit.boosting import (
     alpha_line_search,
     alpha_logistic_line_search,
     bound_report,
+    error_rate,
     logistic_weights,
     sign_pm1,
     stats_csv_rows,
@@ -655,6 +656,17 @@ class TestTrain:
         # optimal-by-construction outputs keep every normalizer at most 1
         assert all(s.z <= 1.0 + 1e-12 for s in stats)
 
+    def test_unit_alpha_obeys_the_cap(self):
+        # smoothing 1e-300 gives the first stump an output of about 345
+        ds = dataset([[0.0], [1.0], [2.0], [3.0]], [1.0, 1.0, -1.0, 1.0])
+        cfg = BoostConfig(rounds=2, stumps=StumpSearchConfig(mode="confidence", smoothing=1e-300),
+                          alpha_strategy="unit")
+        model, stats = train(ds, cfg)
+        for alpha, stump in model.terms:
+            assert 0.0 < alpha < 1.0
+            assert max(abs(alpha * stump.left_output), abs(alpha * stump.right_output)) <= ALPHA_CAP
+        assert [s.clamped for s in stats] == [True, True]
+
     def test_closed_form_requires_binary(self):
         with pytest.raises(UsageError):
             BoostConfig(rounds=1, stumps=StumpSearchConfig(mode="confidence"),
@@ -714,6 +726,11 @@ class TestTrain:
 class TestSignConvention:
     def test_sign_zero_is_positive(self):
         np.testing.assert_array_equal(sign_pm1(np.array([-0.5, 0.0, 0.5])), [-1.0, 1.0, 1.0])
+
+    def test_error_rate_counts_a_zero_score_as_positive(self):
+        f, y = np.array([0.0, -0.0, 0.5, -0.5]), np.array([1.0, 1.0, -1.0, -1.0])
+        assert error_rate(f, y) == 0.25
+        assert repr(error_rate(f, y)) == repr(float(np.mean(sign_pm1(f) != y)))
 
 
 class TestMargins:

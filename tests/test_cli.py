@@ -160,6 +160,15 @@ class TestTrainCommand:
         assert err.startswith(f"data error: {test}: expected 2 features") and "got 3" in err
         assert not out.exists()
 
+    def test_unit_alphas_obey_the_alpha_cap(self, tmp_path):
+        data = tmp_path / "u.csv"
+        data.write_text("a,label\n0,1\n1,1\n2,-1\n3,1\n")
+        out = str(tmp_path / "m.txt")
+        assert main(["train", "--data", str(data), "--rounds", "2", "--stumps", "confidence",
+                     "--alpha", "unit", "--smoothing", "1e-300", "--out", out]) == 0
+        for alpha, stump in load_model(out).model.terms:
+            assert max(abs(alpha * stump.left_output), abs(alpha * stump.right_output)) <= 35.0
+
     def test_eta_with_exponential_loss_rejected(self, tmp_path, np_rng):
         ds = random_classification(np_rng, 10, 1)
         ds = dataset(ds.features, ds.labels, prior=np.full(10, 0.5))
@@ -657,6 +666,32 @@ class TestActiveCommand:
                      "--init", "10", "--batch", "5", "--iterations", "1",
                      "--seeds", "a,b", "--rounds", "2", "--out", str(tmp_path / "c.csv")])
         assert code == 1
+
+
+class TestLabelErrorsNameTheFile:
+    """Each labeled file a classification command reads is named when its labels are not -1/+1."""
+
+    @pytest.mark.parametrize("command, flag", [
+        ("train", "--data"), ("eval", "--data"), ("active", "--data"), ("active", "--test"),
+    ])
+    def test_real_valued_labels(self, tmp_path, capsys, command, flag):
+        reg = tmp_path / "reg.csv"
+        reg.write_text("a,label\n1,0.5\n2,1.5\n3,2.5\n")
+        good = write_dataset(tmp_path, dataset([[1.0], [2.0], [3.0], [4.0]], [1.0, -1.0, 1.0, -1.0]),
+                             "good.csv")
+        model, out = str(tmp_path / "m.txt"), str(tmp_path / "out.csv")
+        assert main(["train", "--data", good, "--rounds", "2", "--out", model]) == 0
+        data, test = (str(reg) if flag == f else good for f in ("--data", "--test"))
+        argv = {
+            "train": ["train", "--data", data, "--rounds", "2", "--out", out],
+            "eval": ["eval", "--model", model, "--data", data],
+            "active": ["active", "--data", data, "--test", test, "--init", "2",
+                       "--batch", "1", "--iterations", "1", "--rounds", "2", "--out", out],
+        }[command]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {reg}: ") and "requires classification labels (-1/+1)" in err
 
 
 class TestUsage:

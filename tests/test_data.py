@@ -4,6 +4,7 @@ import io
 import itertools
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -183,6 +184,15 @@ class TestDatasetInvariants:
         sub = ds.take([2, 0])
         np.testing.assert_array_equal(sub.features[:, 0], [3.0, 1.0])
 
+    def test_take_carries_every_column(self):
+        ds = dataset([[1.0], [2.0], [3.0]], [1.0, -1.0, 1.0], prior=[0.1, 0.2, 0.3],
+                     weights=[1.0, 2.0, 3.0], feature_names=("a",), label_name="y")
+        sub = ds.take([2, 0])
+        np.testing.assert_array_equal(sub.labels, [1.0, 1.0])
+        np.testing.assert_array_equal(sub.prior, [0.3, 0.1])
+        np.testing.assert_array_equal(sub.weights, [3.0, 1.0])
+        assert (sub.feature_names, sub.label_name) == (("a",), "y")
+
     def test_features_column_major_and_read_only(self, tmp_path):
         def check(X):
             assert X.flags.f_contiguous and not X.flags.writeable
@@ -193,7 +203,7 @@ class TestDatasetInvariants:
             check(ds.features)
             np.testing.assert_array_equal(ds.features, layout)
             check(ds.take([3, 1]).features)
-            check(ds.with_labels(np.ones(4)).features)
+            check(replace(ds, labels=np.ones(4)).features)
         # the bulk parse and the cell-by-cell reread ("1" in quotes)
         for cell in ("1", '"1"'):
             path = write(tmp_path, f"a,b,label,weight\n{cell},2,1,0.5\n3,4,-1,1\n5,6,1,2\n")
@@ -548,7 +558,7 @@ class TestReadMemory:
         X.flags.writeable = False
         ds = dataset(X, [1.0, -1.0, 1.0, -1.0])
         assert ds.features is X
-        assert ds.with_labels(np.ones(4)).features is X
+        assert replace(ds, labels=np.ones(4)).features is X
 
     def test_adopted_dataset_peaks_below_64kb(self):
         # the finiteness checks make no temporary of the matrix's shape

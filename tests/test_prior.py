@@ -294,6 +294,21 @@ def search_objective(stump, X, w_pos, w_neg, mode, smoothing):
     return 2.0 * (math.sqrt((wp_l + s) * (wn_l + s)) + math.sqrt((wp_r + s) * (wn_r + s)))
 
 
+def output_rounding(stump, aug, D, mode, smoothing):
+    """How far rounding can move each output of a stump, (left, right).
+
+    The search sums masses of D, which sum to 1, so a side's masses are
+    known to r = 4 n 2^-52 only. A confidence output 1/2 ln((W+ + s) / (W- + s))
+    then moves by up to r/2 (1/(W+ + s) + 1/(W- + s)); a binary output is exact.
+    """
+    if mode == "binary":
+        return 0.0, 0.0
+    r = 4.0 * aug.m * 2.0**-52
+    left, pos = aug.features[:, stump.feature_index] <= stump.threshold, aug.labels > 0.0
+    masses = ((float(np.sum(D[side & pos])), float(np.sum(D[side & ~pos]))) for side in (left, ~left))
+    return tuple(0.5 * r * (1.0 / (wp + smoothing) + 1.0 / (wn + smoothing)) for wp, wn in masses)
+
+
 def assert_matches_augmented(ds, p, eta, mode, eval_ds, rounds=8):
     """train_with_prior against plain training on the augmented set, round by round.
 
@@ -301,11 +316,16 @@ def assert_matches_augmented(ds, p, eta, mode, eval_ds, rounds=8):
     partition tie) stumps that split the training rows alike. Two distinct
     partitions whose objectives tie exactly are ordered by rounding, which
     differs between the runs; the comparison checks that the tie is real
-    and stops there. A round whose optimum is too flat for Newton's stop to
-    pin alpha to close() (see ``flat_optimum``) ends the comparison too,
-    when the alphas differ by more than rounding explains: later rounds
-    start from scores apart by that gap times h. Returns the number of
-    rounds compared.
+    and stops there. It stops too where the runs pick different stumps
+    whose outputs all lie within rounding of 0 (see ``output_rounding``):
+    those tie up to rounding, and alpha along either may be capped, which
+    moves later scores by up to ALPHA_CAP. test_error is compared only
+    while no eval score of either run lies within the rounding its terms'
+    outputs carry, since rounding sets the sign of such a score. A round
+    whose optimum is too flat for Newton's stop to pin alpha to close()
+    (see ``flat_optimum``) ends the comparison too, when the alphas differ
+    by more than rounding explains: later rounds start from scores apart
+    by that gap times h. Returns the number of rounds compared.
     """
     cfg = BoostConfig(rounds=rounds, loss_kind="logistic", stumps=StumpSearchConfig(mode=mode))
     pcfg = PriorConfig(eta=eta)
@@ -314,6 +334,7 @@ def assert_matches_augmented(ds, p, eta, mode, eval_ds, rounds=8):
     model, stats = train_with_prior(ds, p, pcfg, cfg, eval_ds)
     smoothing = 1.0 / (2.0 * aug.m)
     f_aug, f = np.zeros(aug.m), np.zeros(ds.m)
+    f_eval, ref_f_eval, eval_rounding = np.zeros(eval_ds.m), np.zeros(eval_ds.m), 0.0
     same_stumps = True
     for t, ((alpha, stump), (ref_alpha, ref_stump), s, r) in enumerate(
         zip(model.terms, ref.terms, stats, ref_stats)
@@ -331,17 +352,23 @@ def assert_matches_augmented(ds, p, eta, mode, eval_ds, rounds=8):
             agree = agree and close(stump.left_output, ref_stump.left_output)
             agree = agree and close(stump.right_output, ref_stump.right_output)
         converged = max(np.max(np.abs(alpha * h)), np.max(np.abs(ref_alpha * ref_h))) <= 1e-12
-        if not same_pick and all(map(close, h, ref_h)):
+        D = aug.weights * sigmoid(-(aug.labels * f_aug))
+        D = D / D.sum()
+        bounds = [output_rounding(st_, aug, D, mode, smoothing) for st_ in (stump, ref_stump)]
+        at_rounding = [abs(st_.left_output) <= b[0] and abs(st_.right_output) <= b[1]
+                       for st_, b in zip((stump, ref_stump), bounds)]
+        tied = not same_pick and all(at_rounding)
+        if not same_pick and not tied and all(map(close, h, ref_h)):
             # one partition of the rows with mass, recorded on another feature;
             # two thresholds of one feature always split those rows apart
             assert stump.feature_index != ref_stump.feature_index or converged, t
         # in a round that adds nothing, which stump carries alpha ~ 0 is down to rounding
-        if not (agree or converged):
-            assert not same_pick, (t, alpha, ref_alpha, stump, ref_stump)
-            assert not all(map(close, h, ref_h)), (t, alpha, ref_alpha)
-            D = aug.weights * sigmoid(-(aug.labels * f_aug))
-            w_pos = np.where(aug.labels > 0.0, D / D.sum(), 0.0)
-            w_neg = D / D.sum() - w_pos
+        if tied or not (agree or converged):
+            if not tied:
+                assert not same_pick, (t, alpha, ref_alpha, stump, ref_stump)
+                assert not all(map(close, h, ref_h)), (t, alpha, ref_alpha)
+            w_pos = np.where(aug.labels > 0.0, D, 0.0)
+            w_neg = D - w_pos
             mine, theirs = (search_objective(st_, aug.features, w_pos, w_neg, mode, smoothing)
                             for st_ in (stump, ref_stump))
             assert close(mine, theirs), (t, mine, theirs)
@@ -364,7 +391,10 @@ def assert_matches_augmented(ds, p, eta, mode, eval_ds, rounds=8):
         objective = prior_objective(f_run if flat else f, ds, p, eta, pcfg.epsilon_clip)
         assert close(s.prior_loss, objective), t
         assert s.train_error == r.train_error, t
-        if same_stumps:
+        f_eval += alpha * stump.evaluate_matrix(eval_ds.features)
+        ref_f_eval += ref_alpha * ref_stump.evaluate_matrix(eval_ds.features)
+        eval_rounding += max(abs(alpha), abs(ref_alpha)) * max(max(b) for b in bounds)
+        if same_stumps and np.all(np.minimum(np.abs(f_eval), np.abs(ref_f_eval)) >= eval_rounding):
             assert s.test_error == r.test_error, t
         if flat:
             # later rounds start from scores (alpha - ref_alpha) * h apart
@@ -391,6 +421,16 @@ _CLOSE_ON_FLAT_OPTIMUM = (
 )
 
 
+# Four rows of label -1 at x = -1, -1, 0, -1 with priors 0, 0, 0.5, 0. With
+# weights 0, 1, 0, 0.625 both runs pick one stump in round 1 whose right
+# output is rounding (-1.7e-16 in one run, +1.1e-16 in the other), which
+# sets the sign of the eval row at x = 0. With weights 1, 0, 0, 0 round 2
+# picks stumps whose outputs (-2.4e-14 and -3.5e-15) are rounding too, and
+# alpha along the first is capped at 1.4e15.
+_ROUNDING_OUTPUTS = ([[-1.0], [-1.0], [0.0], [-1.0]], [-1.0] * 4)
+_ROUNDING_PRIOR = [0.0, 0.0, 0.5, 0.0]
+
+
 class TestFoldedMatchesAugmented:
     """Training on the m rows with folded masses against training on the 3m-row set."""
 
@@ -399,6 +439,10 @@ class TestFoldedMatchesAugmented:
     @example(Pinned(4, 1, *_FLAT_OPTIMUM), 0.5, "binary")
     @example(Pinned(4, 1, *_FLAT_OPTIMUM), 0.5, "confidence")
     @example(Pinned(4, 4, *_CLOSE_ON_FLAT_OPTIMUM), 0.5, "confidence")
+    @example(Pinned(4, 1, *_ROUNDING_OUTPUTS, [0.0, 1.0, 0.0, 0.625], _ROUNDING_PRIOR, [[0.0]], [-1.0]),
+             5.0, "confidence")
+    @example(Pinned(4, 1, *_ROUNDING_OUTPUTS, [1.0, 0.0, 0.0, 0.0], _ROUNDING_PRIOR, [[-1.0]], [-1.0]),
+             5.0, "confidence")
     def test_drawn_data(self, data, eta, mode):
         m = data.draw(st.integers(1, 40))
         d = data.draw(st.integers(1, 4))
