@@ -178,34 +178,74 @@ def alpha_binary(epsilon: float) -> float:
     return min(max(a, -ALPHA_CAP), ALPHA_CAP)
 
 
-def _newton_1d(derivs, cap: float) -> float:
+def _newton_1d(grad, curv, cap: float, yh: np.ndarray | None = None) -> float:
     """Minimizer on [-cap, cap] of a convex function given its derivatives.
 
-    ``derivs(x)`` returns the first and second derivative at x together, so
-    a caller can get both from one evaluation of its exp or sigmoid. A
-    derivative of one sign at an endpoint returns that endpoint; otherwise
-    its root is found by Newton steps safeguarded by bisection.
+    ``grad(x)`` gives the derivative g at x and a settling margin, ``curv()``
+    the second derivative where ``grad`` last evaluated. The result is that
+    of probing first: +cap if g(cap) <= 0, else -cap if g(-cap) >= 0, else
+    Newton steps from 0, safeguarded by bisection, until |g| <=
+    LINE_SEARCH_TOL or 200 steps. The probes never move the bracket, so an
+    endpoint is probed only before returning or when a step would leave the
+    bracket toward it (+cap first), and only while unsettled: g > margin
+    (at least LINE_SEARCH_TOL) settles +cap, g < -margin -cap. For, with g
+    = P - N, P and N the positive and negative terms' magnitudes summed
+    exactly, P never shrinks and N never grows toward +cap; if a computed g
+    is within e (P + N) of exact and g(x) > 2 e (P + N)(x), then (P - N)(x)
+    > e (P + N)(x) and the computed g(cap) >= (1 - e) P(x) - (1 + e) N(x) > 0.
+
+    ``yh`` holds y*h per term, each term -y*h times a factor >= 0: all
+    positive, g <= 0 and cap is returned unprobed; all negative, -cap is,
+    unless every term is 0 at +cap.
     """
-    if derivs(cap)[0] <= 0.0:
+    if yh is not None and yh.min() > 0.0:
         return cap
-    if derivs(-cap)[0] >= 0.0:
-        return -cap
+    if yh is not None and yh.max() < 0.0:
+        return cap if grad(cap)[0] <= 0.0 else -cap
+    # per endpoint: None while unsettled, else whether it is the minimizer
+    top = bottom = None
     a, b = -cap, cap
     x = 0.0
     for _ in range(200):
-        g, curv = derivs(x)
+        g, margin = grad(x)
+        if g > max(margin, LINE_SEARCH_TOL):
+            top = False
+        elif g < -max(margin, LINE_SEARCH_TOL):
+            bottom = False
         if abs(g) <= LINE_SEARCH_TOL:
-            return x
+            break
         if g > 0.0:
             b = x
         else:
             a = x
-        step = g / curv if curv > 0.0 else 0.0
+        c = curv()
+        step = g / c if c > 0.0 else 0.0
         x_new = x - step
         if not a < x_new < b:
+            if g < 0.0 and top is None:
+                top = grad(cap)[0] <= 0.0
+            elif g > 0.0 and bottom is None:
+                bottom = grad(-cap)[0] >= 0.0
+            if top or bottom:
+                break
             x_new = 0.5 * (a + b)
         x = x_new
+    if top or (top is None and grad(cap)[0] <= 0.0):
+        return cap
+    if bottom or (bottom is None and grad(-cap)[0] >= 0.0):
+        return -cap
     return x
+
+
+def _margin(n: int, size: float) -> float:
+    """2 e size, e = (n + 48) u and u = 2**-53: the margin of n terms of magnitudes summing to size.
+
+    A sum of n terms in any order is off by (n - 1) u of their magnitudes;
+    each term's product, exps within 2 ulp and argument a y h + y f with
+    |a y h| <= 35 (35 u on e^t; 9 u + 10 u on a sigmoid) add at most 40 u,
+    and a constant term u. The rest covers second-order terms.
+    """
+    return 2.0 * (n + 48) * 2.0**-53 * size
 
 
 def _alpha_bound(h: np.ndarray) -> float:
@@ -227,24 +267,27 @@ def alpha_line_search(D: np.ndarray, h_outputs: np.ndarray, labels: np.ndarray) 
     weight, Z is flat: the fit has converged and alpha is 0.
     """
     D = np.asarray(D, dtype=np.float64)
-    h = np.asarray(h_outputs, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
-    yh = y * h
+    yh = y * np.asarray(h_outputs, dtype=np.float64)
     active = (D > 0.0) & (yh != 0.0)
-    if not np.any(active):
+    n = int(np.count_nonzero(active))
+    if n == 0:
         return 0.0
-    a_cap = _alpha_bound(h[active])
-
-    yha = yh[active]
+    rows = ... if n == active.shape[0] else active  # every row active: views, not copies
+    Da, yha = D[rows], yh[rows]
     # Z' = sum -D yh e and Z'' = sum D yh yh e with e = exp(-a yh)
-    d1w = -D[active] * yha
-    d2w = D[active] * yha * yha
+    d1w = -Da * yha
+    d2w = Da * yha * yha
+    last = [None]
 
-    def derivs(a: float) -> tuple[float, float]:
-        e = np.exp(-a * yha)
-        return float(np.sum(d1w * e)), float(np.sum(d2w * e))
+    def grad(a: float) -> tuple[float, float]:  # e reaches e^35: margins from |terms| at a
+        e = last[0] = np.exp(-a * yha)
+        return float((d1w * e).sum()), _margin(n, float((np.abs(d1w) * e).sum()))
 
-    return _newton_1d(derivs, a_cap)
+    def curv() -> float:
+        return float((d2w * last[0]).sum())
+
+    return _newton_1d(grad, curv, _alpha_bound(yha), yha)
 
 
 def alpha_logistic_line_search(
@@ -262,18 +305,19 @@ def alpha_logistic_line_search(
     alpha h_i))): each row's mass on the other label. Both derivatives come
     from one sigmoid s = sigmoid(-(yf + a yh)) per Newton step:
     L' = sum (b yh (1 - s) - w yh s) = sum b yh - sum (w + b) yh s and
-    L'' = sum (w + b) yh yh s (1 - s). If h is zero on every row with mass
+    L'' = sum (w + b) yh yh s (1 - s), taken only before a step. As s lies
+    in [0, 1], |sum b yh| + sum (w + b) |yh| bounds the terms' magnitudes
+    at every alpha (see _newton_1d). If h is zero on every row with mass
     w + b > 0, the loss is flat in alpha: the fit has converged, alpha is 0
     and ``s`` is left alone.
 
     ``s``, when given, holds sigmoid(-y f) per row and is updated in place:
     the step at alpha = 0 reads it instead of evaluating, and on return it
     holds sigmoid(-y (f + alpha h)) at every row in the objective (mass
-    w + b > 0 and h != 0), the last Newton step's sigmoids when that step
-    was at the returned alpha. Other rows are left alone. With y = +-1 and
-    a sign-symmetric rounding, a yh + yf and y (f + a h) are the same double
-    up to the sign of a zero, where the sigmoid is 0.5 either way; so the
-    alpha and the stored sigmoids are those of evaluating from scratch.
+    w + b > 0 and h != 0), those evaluated at alpha if any were. Other rows
+    are left alone. With y = +-1 and a sign-symmetric rounding, a yh + yf
+    and y (f + a h) are the same double up to the sign of a zero, where the
+    sigmoid is 0.5 either way: the results are those of evaluating afresh.
     """
     w = np.asarray(base_weights, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
@@ -283,47 +327,57 @@ def alpha_logistic_line_search(
         b = np.asarray(flip_weights, dtype=np.float64)
         w = w + b
     active = (w > 0.0) & (yh != 0.0)
-    if not np.any(active):
+    n = int(np.count_nonzero(active))
+    if n == 0:
         return 0.0
-    wa, yha, yfa = w[active], yh[active], yf[active]
+    rows = ... if n == active.shape[0] else active  # every row active: views, not copies
+    wa, yha, yfa = w[rows], yh[rows], yf[rows]
+    carried = s if s is None or rows is ... else s[rows]
     a_cap = _alpha_bound(yha)
-    d1_flip = 0.0 if flip_weights is None else float(np.sum(b[active] * yha))
-    # the sigmoids at alpha = 0, read once and then dropped
-    carried = [None if s is None else s[active]]
+    d1_flip = 0.0 if flip_weights is None else float((b[rows] * yha).sum())
     d1w = -wa * yha
     d2w = wa * yha * yha
-    # the latest step's alpha and sigmoids, dropped before the next step
-    # allocates its own
-    last = [None, None]
+    margin = _margin(n, abs(d1_flip) + float(np.abs(d1w).sum()))
+    # (alpha, sigmoids) at the latest Newton point and endpoint probe; the
+    # latest sigmoids and their argument's buffer wait only for curv(). An
+    # array more held between evaluations moved the heap's top, and a fresh
+    # `cde train` process then faulted in ten times the pages.
+    kept = [None, None]
+    latest = None
 
-    def sigmoids(a: float) -> tuple[np.ndarray, np.ndarray]:
-        """sigmoid(-(yf + a yh)) and the buffer its argument was built in."""
+    def sigmoids(a: float) -> tuple[np.ndarray, np.ndarray]:  # and the argument's buffer
         t = a * yha
         t += yfa
         np.negative(t, out=t)
         return sigmoid(t), t
 
-    def derivs(a: float) -> tuple[float, float]:
-        last[1] = None
-        if a == 0.0 and carried[0] is not None:
-            sa, t = carried[0], np.empty_like(carried[0])
-            carried[0] = None
+    def grad(a: float) -> tuple[float, float]:
+        nonlocal carried, latest
+        slot = int(abs(a) == a_cap)
+        kept[slot] = latest = None  # dropped before the evaluation allocates
+        if a == 0.0 and carried is not None:
+            sa, t = carried, np.empty_like(carried)
+            carried = None
         else:
             sa, t = sigmoids(a)
-        last[:] = a, sa
-        u = d1w * sa
-        d1 = d1_flip + float(np.sum(u))
-        np.multiply(d2w, sa, out=u)
+        kept[slot], latest = (a, sa), (sa, t)
+        return d1_flip + float((d1w * sa).sum()), margin
+
+    def curv() -> float:
+        nonlocal latest
+        (sa, t), latest = latest, None
+        u = d2w * sa
         np.subtract(1.0, sa, out=t)
         u *= t
-        return d1, float(np.sum(u))
+        return float(u.sum())
 
-    alpha = _newton_1d(derivs, a_cap)
+    alpha = _newton_1d(grad, curv, a_cap, yha if flip_weights is None else None)
     if s is not None:
-        a, sa = last
-        if a != alpha:  # e.g. the last bisection point after 200 steps
+        sa = next((k[1] for k in kept if k is not None and k[0] == alpha), None)
+        if sa is None:  # e.g. the last bisection point after 200 steps
             sa = sigmoids(alpha)[0]
-        s[active] = sa
+        if sa is not s:
+            s[rows] = sa
     return alpha
 
 
@@ -387,13 +441,11 @@ class RoundAccounting:
     result is that of training on a set holding each row once per label.
 
     Logistic loss without flip keeps ``s`` = sigmoid(-y f) per row between
-    rounds: the logistic line search leaves in it the sigmoids it evaluated
-    at the chosen alpha, so D is built without a sigmoid of its own. ``s`` is
-    None when it must be evaluated afresh. The search leaves rows with
-    h = 0 alone: f + alpha * 0 is f up to the sign of a zero, so their
-    sigmoid stands. A row of base weight 0 is never searched and may hold a
-    stale value; it meets only 0 * s in D, whose bits are the same for any
-    finite s >= 0.
+    rounds, as the line search leaves it (None: evaluate afresh), so D needs
+    no sigmoid of its own. A row of base weight 0 is never searched and may
+    hold a stale value; it meets only 0 * s in D, the same bits for any
+    finite s >= 0. Rows with h = 0 keep theirs: f + alpha * 0 is f up to the
+    sign of a zero.
     """
 
     def __init__(
@@ -426,15 +478,17 @@ class RoundAccounting:
                 if self.s is None:
                     self.s = sigmoid(-(self.y * self.f))
                 w = self.base * self.s
-            try:
-                self.D = normalized(w)
-            except DataError:
-                if w.any():
-                    raise
-                # the base weights are not all zero: every product underflowed
+            # the masses passed normalized() at construction and sigmoids lie in
+            # [0, 1]: only the sum needs a check. A sum of 0 means every product
+            # underflowed. D is new: dividing w in place moved the heap's top,
+            # and a fresh `cde train` process faulted in ten times the pages.
+            with np.errstate(over="ignore"):
+                total = float(w.sum())
+            if not 0.0 < total < math.inf:
                 raise DataError(
-                    "logistic weights underflowed: base weight * sigmoid(-y*f) is 0 on every row"
-                ) from None
+                    f"weights must have a finite sum, got {total!r}" if total else
+                    "logistic weights underflowed: base weight * sigmoid(-y*f) is 0 on every row")
+            self.D = w / total
         return self.D
 
     def masses(self) -> tuple[np.ndarray, np.ndarray]:

@@ -225,12 +225,12 @@ class _FeatureBlock:
             n = orders.shape[1]
             cum = np.empty((b, n + 1))
             cum[:, 0] = 0.0
-            np.cumsum(w[orders], axis=1, out=cum[:, 1:])
+            w[orders].cumsum(axis=1, out=cum[:, 1:])
             left = cum[:, :n] if index is None else cum.ravel()[index]
             if self.left is None:
                 right = cum[:, n:] - left
             else:
-                right = np.repeat(cum[:, n], self.candidates)
+                right = cum[:, n].repeat(self.candidates)
                 right -= left
             # right >= 0 without a clamp: every mass is >= 0 (-0.0 included),
             # and under round-to-nearest a running sum of such doubles never
@@ -301,7 +301,7 @@ def _best_binary(
         # and right negatives; orientation b is the flip.
         err_a = np.add(wn_right, wp_left, out=wn_right)
         err_b = np.add(wp_right, wn_left, out=wp_right)
-        c = int(np.argmin(np.minimum(err_a, err_b)))
+        c = int(np.minimum(err_a, err_b).argmin())
         # a tie between the orientations goes to a
         use_a = err_a.flat[c] <= err_b.flat[c]
         err = float(err_a.flat[c] if use_a else err_b.flat[c])
@@ -351,7 +351,7 @@ def _best_confidence(
         t *= u
         np.sqrt(t, out=t)
         z += t
-        c = int(np.argmin(z))
+        c = int(z.argmin())
         # a smoothing near 1e154 or above overflows every surrogate to inf;
         # then all tie, and the first candidate wins as in any tie
         if z.flat[c] < best_z or best is None:

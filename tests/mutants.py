@@ -126,10 +126,46 @@ MUTANTS = (
     ),
     Mutant(
         "converged logistic line search writes s", "src/boostkit/boosting.py",
-        "    if not np.any(active):\n        return 0.0\n    wa, yha, yfa",
-        "    if not np.any(active):\n        if s is not None:\n            s[:] = 0.5\n"
-        "        return 0.0\n    wa, yha, yfa",
+        "        return 0.0\n    rows = ... if n == active.shape[0] else active"
+        "  # every row active: views, not copies\n    wa, yha, yfa",
+        "        if s is not None:\n            s[:] = 0.5\n"
+        "        return 0.0\n    rows = ... if n == active.shape[0] else active\n    wa, yha, yfa",
         ("tests/test_boosting.py::TestLineSearchSigmoidHandOff::test_sigmoids_at_the_returned_alpha",),
+    ),
+    # the line searches' deferred probes, curvature, compaction and one-signed precheck
+    Mutant(
+        "+cap is never probed", "src/boostkit/boosting.py",
+        "    if top or (top is None and grad(cap)[0] <= 0.0):",
+        "    if top:",
+        ("tests/test_boosting.py::TestLineSearchOracle::test_flat_curves",
+         "tests/test_boosting.py::TestLineSearchOracle::test_flat_curve_returns_the_cap_its_probe_finds"),
+    ),
+    Mutant(
+        "L'' taken from the previous point", "src/boostkit/boosting.py",
+        "        kept[slot], latest = (a, sa), (sa, t)\n"
+        "        return d1_flip + float((d1w * sa).sum()), margin\n\n"
+        "    def curv() -> float:\n        nonlocal latest\n        (sa, t), latest = latest, None\n",
+        "        previous.append((sa, t))\n        kept[slot], latest = (a, sa), (sa, t)\n"
+        "        return d1_flip + float((d1w * sa).sum()), margin\n\n    previous = []\n\n"
+        "    def curv() -> float:\n        nonlocal latest\n"
+        "        (sa, t), latest = previous[-2] if len(previous) > 1 else latest, None\n",
+        ("tests/test_boosting.py::TestLineSearchOracle::test_logistic_alphas_identical",),
+    ),
+    Mutant(
+        "compaction skipped while some row is inactive", "src/boostkit/boosting.py",
+        "    rows = ... if n == active.shape[0] else active  # every row active: views, not copies\n"
+        "    wa, yha, yfa",
+        "    rows = ...\n    wa, yha, yfa",
+        ("tests/test_boosting.py::TestLineSearchSigmoidHandOff::test_sigmoids_at_the_returned_alpha",
+         "tests/test_boosting.py::TestLineSearchOracle::test_logistic_alphas_identical"),
+    ),
+    Mutant(
+        "one-signed precheck returns -cap without the +cap underflow check",
+        "src/boostkit/boosting.py",
+        "        return cap if grad(cap)[0] <= 0.0 else -cap\n",
+        "        return -cap\n",
+        ("tests/test_boosting.py::TestOneSignedSearches::"
+         "test_every_sigmoid_underflowing_at_the_cap_returns_the_cap",),
     ),
 )
 

@@ -151,17 +151,90 @@ class TestLineSearchOracle:
                 continue
             assert repr(alpha_line_search(D, h, y)) == repr(oracles.alpha_line_search(D, h, y))
 
+    @staticmethod
+    def logistic(w, f, h, y, flip=None):
+        """The alpha, checked against the oracle's, and the carried s against its sigmoids."""
+        s = sigmoid(-(y * f))
+        alpha = alpha_logistic_line_search(w, f, h, y, flip_weights=flip, s=s)
+        assert repr(alpha) == repr(oracles.alpha_logistic_line_search(w, f, h, y, flip=flip))
+        rows = ((w if flip is None else w + flip) > 0.0) & (h != 0.0)
+        assert s[rows].tobytes() == oracles.sigmoid(-(y * (f + alpha * h)))[rows].tobytes()
+        return alpha
+
     def test_logistic_alphas_identical(self, np_rng):
         for trial in range(200):
             m = int(np_rng.integers(2, 400))
             D, h, y = self.inputs(np_rng, m, trial % 2 == 1)
             if not np.any((D > 0.0) & (h != 0.0)):
                 continue
-            w = D * m
             f = np_rng.normal(scale=float(np_rng.choice([0.1, 2.0, 20.0])), size=m)
-            assert repr(alpha_logistic_line_search(w, f, h, y)) == repr(
-                oracles.alpha_logistic_line_search(w, f, h, y)
-            )
+            self.logistic(D * m, f, h, y)
+
+    def test_minimum_beyond_the_caps_with_flip_masses(self, np_rng):
+        # The loss falls toward one cap when the masses pulling back are
+        # tiny: own-label mass where y*h has that cap's sign, flipped mass
+        # where it has the other. Zero masses and h = 0 rows are mixed in.
+        capped = 0
+        for trial in range(200):
+            m = int(np_rng.integers(2, 300))
+            _, h, y = self.inputs(np_rng, m, trial % 2 == 1)
+            toward = np.sign(h * y) == (1.0 if trial % 4 < 2 else -1.0)
+            pull = float(np_rng.choice([0.0, 1e-30, 1e-20, 1e-17]))
+            big, small = np_rng.uniform(0.0, 2.0, size=(2, m))
+            w = np.where(toward, big, pull * small)
+            flip = np.where(toward, pull * small, big)
+            w[np_rng.uniform(size=m) < 0.1] = 0.0
+            flip[np_rng.uniform(size=m) < 0.1] = 0.0
+            if not np.any((w + flip > 0.0) & (h != 0.0)):
+                continue
+            f = np_rng.normal(scale=float(np_rng.choice([0.1, 2.0, 20.0])), size=m)
+            alpha = self.logistic(w, f, h, y, flip)
+            capped += abs(alpha) * float(np.max(np.abs(h[w + flip > 0.0]))) == ALPHA_CAP
+        assert capped >= 100
+
+    def test_flat_curves(self, np_rng):
+        # Every row with mass scores beyond the cap's reach in the sigmoid,
+        # so |L'| <= 1e-10 around 0; which cap, if any, the probes return
+        # depends on the rows whose sigmoids grow toward it.
+        returned = set()
+        for trial in range(200):
+            m = int(np_rng.integers(2, 200))
+            _, h, y = self.inputs(np_rng, m, trial % 2 == 1)
+            w = np_rng.uniform(0.0, 2.0, size=m)
+            w[np_rng.uniform(size=m) < 0.1] = 0.0
+            rows = (w > 0.0) & (h != 0.0)
+            if not rows.any() or np.all((y * h)[rows] > 0.0) or np.all((y * h)[rows] < 0.0):
+                continue
+            margin = np.where(y * h > 0.0, np_rng.uniform(32.0, 45.0, size=m),
+                              np_rng.uniform(32.0, 300.0, size=m))
+            f = y * margin
+            assert abs(float(np.sum(-w * y * h * sigmoid(-margin)))) <= 1e-10
+            alpha = self.logistic(w, f, h, y)
+            returned.add(0 if abs(alpha) < 1.0 else int(np.sign(alpha)))
+            D = np.where(rows, 1e-14 * w, w) + (h == 0.0)
+            D /= D.sum()
+            assert repr(alpha_line_search(D, h, y)) == repr(oracles.alpha_line_search(D, h, y))
+        assert {0, 1} <= returned
+
+    def test_flat_curve_returns_the_cap_its_probe_finds(self):
+        # L'(0) is -9e-14: converged at 0, unless the +cap probe reads L' <= 0
+        y = np.array([1.0, 1.0])
+        h = np.array([1.0, -1.0])
+        f = np.array([30.0, 200.0])
+        assert self.logistic(np.ones(2), f, h, y) == ALPHA_CAP
+
+    def test_zero_mass_and_zero_output_rows_with_flip_masses(self, np_rng):
+        for trial in range(200):
+            m = int(np_rng.integers(2, 300))
+            D, h, y = self.inputs(np_rng, m, trial % 2 == 1)
+            flip = np_rng.uniform(0.0, 1.0, size=m) * (np_rng.uniform(size=m) < 0.5)
+            w = D * m
+            if trial % 3 == 0:
+                h[np_rng.uniform(size=m) < 0.3] = -0.0
+            if not np.any((w + flip > 0.0) & (h != 0.0)):
+                continue
+            f = np_rng.normal(scale=float(np_rng.choice([0.1, 2.0, 20.0])), size=m)
+            self.logistic(w, f, h, y, flip)
 
     def test_capped_cases_identical(self):
         y = np.array([1.0, -1.0, 1.0])
@@ -172,6 +245,53 @@ class TestLineSearchOracle:
         assert alpha_logistic_line_search(np.ones(3), f, -h, y) == (
             oracles.alpha_logistic_line_search(np.ones(3), f, -h, y)
         )
+
+
+class TestOneSignedSearches:
+    """Every active y*h of one sign: the search is decided from the signs."""
+
+    @staticmethod
+    def evaluations(monkeypatch):
+        """Points the line searches evaluate a derivative at, from now on."""
+        points = []
+        newton = boosting._newton_1d
+
+        def counted(grad, curv, cap, yh=None):
+            return newton(lambda x: points.append(x) or grad(x), curv, cap, yh)
+
+        monkeypatch.setattr(boosting, "_newton_1d", counted)
+        return points
+
+    def test_at_most_one_evaluation_and_the_oracles_alpha(self, monkeypatch, np_rng):
+        points = self.evaluations(monkeypatch)
+        for trial in range(200):
+            m = int(np_rng.integers(1, 300))
+            y = np_rng.choice([-1.0, 1.0], size=m)
+            sign = 1.0 if trial % 2 else -1.0
+            h = sign * y * np_rng.uniform(0.05, 3.0, size=m)
+            h[np_rng.uniform(size=m) < 0.1] = 0.0
+            w = np_rng.uniform(0.0, 2.0, size=m)
+            w[np_rng.uniform(size=m) < 0.1] = 0.0
+            if not np.any((w > 0.0) & (h != 0.0)):
+                continue
+            f = np_rng.normal(scale=float(np_rng.choice([0.1, 2.0, 20.0, 400.0])), size=m)
+            del points[:]
+            alpha = alpha_logistic_line_search(w, f, h, y)
+            assert len(points) == (0 if sign > 0 else 1)
+            assert repr(alpha) == repr(oracles.alpha_logistic_line_search(w, f, h, y))
+            D = w / w.sum()
+            del points[:]
+            alpha = alpha_line_search(D, h, y)
+            assert len(points) == (0 if sign > 0 else 1)
+            assert repr(alpha) == repr(oracles.alpha_line_search(D, h, y))
+
+    def test_every_sigmoid_underflowing_at_the_cap_returns_the_cap(self, monkeypatch):
+        # every y*h < 0, yet L'(cap) = 0: sigmoid(-(800 - 35)) is 0 in doubles
+        points = self.evaluations(monkeypatch)
+        args = np.ones(2), np.array([800.0, 900.0]), np.array([-1.0, -0.5]), np.ones(2)
+        alpha = alpha_logistic_line_search(*args)
+        assert alpha == ALPHA_CAP == oracles.alpha_logistic_line_search(*args)
+        assert points == [ALPHA_CAP]
 
 
 def _term(draw, d, binary):
@@ -458,8 +578,8 @@ class TestLineSearchSigmoidHandOff:
 
     def test_fresh_sigmoids_when_the_last_step_was_elsewhere(self, monkeypatch, np_rng):
         # Newton returning a point it did not evaluate, as after 200 steps
-        def unevaluated(derivs, cap):
-            derivs(0.0)
+        def unevaluated(grad, curv, cap, one_sign):
+            grad(0.0)
             return 0.3 * cap
 
         monkeypatch.setattr(boosting, "_newton_1d", unevaluated)
