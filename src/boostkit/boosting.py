@@ -30,6 +30,7 @@ from .stumps import (
     StumpSearchSpace,
     _best_binary,
     _best_confidence,
+    search_sibling,
 )
 
 ALPHA_CAP = 35.0  # |alpha| * max|h| <= 35 keeps exp() inside double range
@@ -590,6 +591,10 @@ def train(
     the next round reads: no epsilon unless closed_form_binary alpha needs
     it, no z, product of z, training error, loss, clamped flag or test error.
     The terms are those of ``_stats=True`` bit for bit.
+
+    A large search space gets a forked sibling process for the run
+    (``stumps.search_sibling``), which scans half of each round's blocks;
+    the results are those of the serial search bit for bit.
     """
     if not ds.is_classification:
         raise DataError("training requires classification labels (-1/+1)")
@@ -612,46 +617,47 @@ def train(
     terms: list[tuple[float, Stump]] = []
     stats: list[RoundStats] = []
 
-    for t in range(1, cfg.rounds + 1):
-        try:
-            D = rounds.distribution()
-            w_pos, w_neg = rounds.masses()
-            if cfg.stumps.mode == "binary":
-                stump, _ = _best_binary(space, w_pos, w_neg)
-            else:
-                stump = _best_confidence(space, w_pos, w_neg, smoothing)
-            h = stump.evaluate_matrix(X)
-            if _stats or strategy == "closed_form_binary":
-                epsilon = rounds.error(h)
-
-            if strategy == "closed_form_binary":
-                alpha = alpha_binary(epsilon)
-                clamped = epsilon <= 0.0 or epsilon >= 1.0
-            elif strategy == "unit":
-                # capped like the others: |alpha * output| <= ALPHA_CAP
-                top = max(abs(stump.left_output), abs(stump.right_output))
-                alpha = 1.0 if top <= ALPHA_CAP else ALPHA_CAP / top
-                clamped = alpha < 1.0
-            else:
-                if cfg.loss_kind == "exponential":
-                    alpha = alpha_line_search(D, h, y)
+    with search_sibling(space) as sibling:
+        for t in range(1, cfg.rounds + 1):
+            try:
+                D = rounds.distribution()
+                w_pos, w_neg = rounds.masses()
+                if cfg.stumps.mode == "binary":
+                    stump, _ = _best_binary(space, w_pos, w_neg, sibling)
                 else:
-                    alpha = rounds.logistic_alpha(h)
-                if _stats:
-                    clamped = abs(alpha) * float(np.max(np.abs(h))) >= ALPHA_CAP - 1e-9
-        except BoostkitError as exc:
-            raise type(exc)(f"round {t}: {exc}") from exc
+                    stump = _best_confidence(space, w_pos, w_neg, smoothing, sibling)
+                h = stump.evaluate_matrix(X)
+                if _stats or strategy == "closed_form_binary":
+                    epsilon = rounds.error(h)
 
-        z = rounds.step(h, alpha)
-        terms.append((alpha, stump))
-        if not _stats:
-            continue
-        s = rounds.stats(t, epsilon, z)
-        s.loss, s.clamped = rounds.loss(), clamped
-        if eval_ds is not None:
-            f_eval = f_eval + alpha * stump.evaluate_matrix(eval_ds.features)
-            s.test_error = error_rate(f_eval, eval_ds.labels)
-        stats.append(s)
+                if strategy == "closed_form_binary":
+                    alpha = alpha_binary(epsilon)
+                    clamped = epsilon <= 0.0 or epsilon >= 1.0
+                elif strategy == "unit":
+                    # capped like the others: |alpha * output| <= ALPHA_CAP
+                    top = max(abs(stump.left_output), abs(stump.right_output))
+                    alpha = 1.0 if top <= ALPHA_CAP else ALPHA_CAP / top
+                    clamped = alpha < 1.0
+                else:
+                    if cfg.loss_kind == "exponential":
+                        alpha = alpha_line_search(D, h, y)
+                    else:
+                        alpha = rounds.logistic_alpha(h)
+                    if _stats:
+                        clamped = abs(alpha) * float(np.max(np.abs(h))) >= ALPHA_CAP - 1e-9
+            except BoostkitError as exc:
+                raise type(exc)(f"round {t}: {exc}") from exc
+
+            z = rounds.step(h, alpha)
+            terms.append((alpha, stump))
+            if not _stats:
+                continue
+            s = rounds.stats(t, epsilon, z)
+            s.loss, s.clamped = rounds.loss(), clamped
+            if eval_ds is not None:
+                f_eval = f_eval + alpha * stump.evaluate_matrix(eval_ds.features)
+                s.test_error = error_rate(f_eval, eval_ds.labels)
+            stats.append(s)
 
     return AdditiveModel(tuple(terms), cfg.loss_kind), stats
 

@@ -57,6 +57,16 @@ depends on a side's mass only through ``w + s`` and the tests
 which comes first. So plain training does one gather and one add per
 (feature, row) per round, across both sides, and prior training two.
 
+Blocks are independent, so one search can run in two processes. For a
+large search (at least ``_SIBLING_MIN_CANDIDATES`` candidates in at least 2
+blocks) on at least 2 CPUs, ``train`` forks a sibling process once the space
+is built (``search_sibling``; the process itself is ``boostkit.sibling``,
+imported only then). Each round the sibling scans the blocks from
+``cut`` on while the parent scans those before, and the parent keeps its own
+best unless the sibling's is strictly smaller: the rule between any two
+blocks. Each block's sums are the same in either process, so stumps and
+errors are those of the sequential scan bit for bit.
+
 The bounds only keep a block's working set cache-sized: as one ``(d, m)``
 array it spills out of cache. A block of several continuous features has
 about as many candidates as cells, and without the candidate bound its
@@ -66,18 +76,30 @@ back to the OS and faults them in again on every round.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import math
+import os
+import threading
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DataError
 
+if TYPE_CHECKING:
+    from .sibling import SearchSibling
+
 # bounds on one block's (features, m) cells and its candidate thresholds;
 # see StumpSearchSpace
 _BLOCK_CELLS = 2**14
 _BLOCK_CANDIDATES = 2**12
+# a search over fewer candidates than this runs in one process (see
+# search_sibling): near the measured crossover, where `cde train` at m =
+# 5,000 with a sibling per breakpoint took 0.97x the serial time at 65,000
+# candidates and 1.03x at 40,000
+_SIBLING_MIN_CANDIDATES = 2**16
 
 
 @dataclass(frozen=True)
@@ -290,28 +312,85 @@ class StumpSearchSpace:
         return space
 
 
-def _best_binary(
-    space: StumpSearchSpace, w_pos: np.ndarray, w_neg: np.ndarray
-) -> tuple[Stump, float]:
+def _binary_block(block: _FeatureBlock, w_pos: np.ndarray, w_neg: np.ndarray, smoothing: float):
+    """(error, candidate, orientation a) of the block's first least error; smoothing unused."""
+    wp_left, wn_left, wp_right, wn_right = block.masses(w_pos, w_neg)
+    # orientation a: left -1 / right +1 misclassifies left positives
+    # and right negatives; orientation b is the flip.
+    err_a = np.add(wn_right, wp_left, out=wn_right)
+    err_b = np.add(wp_right, wn_left, out=wp_right)
+    c = int(np.minimum(err_a, err_b).argmin())
+    # a tie between the orientations goes to a
+    use_a = bool(err_a.flat[c] <= err_b.flat[c])
+    return float(err_a.flat[c] if use_a else err_b.flat[c]), c, use_a
+
+
+def _confidence_block(block: _FeatureBlock, w_pos: np.ndarray, w_neg: np.ndarray, smoothing: float):
+    """(half surrogate, candidate, its four masses) of the block's first least surrogate."""
+    wp_left, wn_left, wp_right, wn_right = block.masses(w_pos, w_neg)
+    # sqrt((W+ + s)(W- + s)) on the left + the same on the right: half
+    # the surrogate Z. Doubling is exact and a finite z cannot overflow
+    # by it, so the halves order the candidates, ties included, alike.
+    z = np.add(wp_left, smoothing)
+    t = np.add(wn_left, smoothing)
+    z *= t
+    np.sqrt(z, out=z)
+    np.add(wp_right, smoothing, out=t)
+    u = np.add(wn_right, smoothing)
+    t *= u
+    np.sqrt(t, out=t)
+    z += t
+    c = int(z.argmin())
+    return (float(z.flat[c]), c,
+            *(float(side.flat[c]) for side in (wp_left, wn_left, wp_right, wn_right)))
+
+
+# the best of one block per search mode: 0 binary, 1 confidence
+_BLOCK_BEST = (_binary_block, _confidence_block)
+
+
+def _scan(space: StumpSearchSpace, lo: int, hi: int, mode: int, w_pos, w_neg, smoothing: float):
+    """The best over blocks lo to hi - 1 as (value, block index, candidate, ...).
+
+    A later block replaces the best so far only if its value is strictly
+    smaller, so a tie across a block boundary keeps the lower feature. The
+    first block's best stands whatever its value: a smoothing near 1e154 or
+    above overflows every confidence surrogate to inf, and then all tie.
+    """
+    block_best = _BLOCK_BEST[mode]
     best = None
-    best_err = math.inf
-    for block in space.blocks:
-        wp_left, wn_left, wp_right, wn_right = block.masses(w_pos, w_neg)
-        # orientation a: left -1 / right +1 misclassifies left positives
-        # and right negatives; orientation b is the flip.
-        err_a = np.add(wn_right, wp_left, out=wn_right)
-        err_b = np.add(wp_right, wn_left, out=wp_right)
-        c = int(np.minimum(err_a, err_b).argmin())
-        # a tie between the orientations goes to a
-        use_a = err_a.flat[c] <= err_b.flat[c]
-        err = float(err_a.flat[c] if use_a else err_b.flat[c])
-        if err < best_err:
-            best_err = err
-            best = (block, c, use_a)
-    assert best is not None
-    block, c, use_a = best
+    for k in range(lo, hi):
+        found = block_best(space.blocks[k], w_pos, w_neg, smoothing)
+        if best is None or found[0] < best[0]:
+            best = (found[0], k, *found[1:])
+    return best
+
+
+def _search(space: StumpSearchSpace, sibling: SearchSibling | None, mode: int,
+            w_pos, w_neg, smoothing: float):
+    """The best over every block of space; a sibling scans blocks cut and on.
+
+    The sibling's best replaces this process's only if it is strictly
+    smaller, the rule of the sequential scan, so the result is that scan's.
+    """
+    n = len(space.blocks)
+    if sibling is None or not sibling.send(mode, w_pos, w_neg, smoothing):
+        return _scan(space, 0, n, mode, w_pos, w_neg, smoothing)
+    best = _scan(space, 0, sibling.cut, mode, w_pos, w_neg, smoothing)
+    other = sibling.receive(mode)
+    if other is None:  # it stopped, and said so: scan its blocks here
+        other = _scan(space, sibling.cut, n, mode, w_pos, w_neg, smoothing)
+    return other if other[0] < best[0] else best
+
+
+def _best_binary(
+    space: StumpSearchSpace, w_pos: np.ndarray, w_neg: np.ndarray,
+    sibling: SearchSibling | None = None,
+) -> tuple[Stump, float]:
+    err, k, c, use_a = _search(space, sibling, 0, w_pos, w_neg, 0.0)
+    block = space.blocks[k]
     left, right = (-1.0, 1.0) if use_a else (1.0, -1.0)
-    return Stump(block.feature(c), float(block.thresholds[c]), left, right), max(best_err, 0.0)
+    return Stump(block.feature(c), float(block.thresholds[c]), left, right), max(err, 0.0)
 
 
 def confidence_output(w_pos: float, w_neg: float, smoothing: float) -> float:
@@ -333,39 +412,37 @@ def confidence_output(w_pos: float, w_neg: float, smoothing: float) -> float:
 
 
 def _best_confidence(
-    space: StumpSearchSpace, w_pos: np.ndarray, w_neg: np.ndarray, smoothing: float
+    space: StumpSearchSpace, w_pos: np.ndarray, w_neg: np.ndarray, smoothing: float,
+    sibling: SearchSibling | None = None,
 ) -> Stump:
-    best = None
-    best_z = math.inf
-    for block in space.blocks:
-        wp_left, wn_left, wp_right, wn_right = block.masses(w_pos, w_neg)
-        # sqrt((W+ + s)(W- + s)) on the left + the same on the right: half
-        # the surrogate Z. Doubling is exact and a finite z cannot overflow
-        # by it, so the halves order the candidates, ties included, alike.
-        z = np.add(wp_left, smoothing)
-        t = np.add(wn_left, smoothing)
-        z *= t
-        np.sqrt(z, out=z)
-        np.add(wp_right, smoothing, out=t)
-        u = np.add(wn_right, smoothing)
-        t *= u
-        np.sqrt(t, out=t)
-        z += t
-        c = int(z.argmin())
-        # a smoothing near 1e154 or above overflows every surrogate to inf;
-        # then all tie, and the first candidate wins as in any tie
-        if z.flat[c] < best_z or best is None:
-            best_z = float(z.flat[c])
-            best = (
-                block,
-                c,
-                *(float(side.flat[c]) for side in (wp_left, wn_left, wp_right, wn_right)),
-            )
-    assert best is not None
-    block, c, wp_l, wn_l, wp_r, wn_r = best
+    _, k, c, wp_l, wn_l, wp_r, wn_r = _search(space, sibling, 1, w_pos, w_neg, smoothing)
+    block = space.blocks[k]
     return Stump(
         block.feature(c),
         float(block.thresholds[c]),
         confidence_output(wp_l, wn_l, smoothing),
         confidence_output(wp_r, wn_r, smoothing),
     )
+
+
+def search_sibling(space: StumpSearchSpace):
+    """A ``sibling.SearchSibling`` for the searches of space, or a null context where it would not pay.
+
+    It runs only with at least 2 CPUs to run on, ``os.fork``, no other
+    Python thread (a thread holding a lock at the fork would leave it held
+    in the sibling), at least 2 blocks, and at least
+    ``_SIBLING_MIN_CANDIDATES`` candidates per search. Either way it is
+    entered with ``with``, which yields the sibling or None.
+    """
+    if (
+        len(space.blocks) >= 2
+        and sum(block.thresholds.shape[0] for block in space.blocks) >= _SIBLING_MIN_CANDIDATES
+        and hasattr(os, "fork")
+        and hasattr(os, "sched_getaffinity")
+        and len(os.sched_getaffinity(0)) >= 2
+        and threading.active_count() == 1
+    ):
+        from .sibling import SearchSibling  # imported only where a search forks
+
+        return SearchSibling(space)
+    return contextlib.nullcontext()

@@ -167,6 +167,31 @@ MUTANTS = (
         ("tests/test_boosting.py::TestOneSignedSearches::"
          "test_every_sigmoid_underflowing_at_the_cap_returns_the_cap",),
     ),
+    # the stump search's sibling: the reduction, the split of the blocks, the masses sent
+    Mutant(
+        "the sibling wins ties", "src/boostkit/stumps.py",
+        "    return other if other[0] < best[0] else best",
+        "    return other if other[0] <= best[0] else best",
+        ("tests/test_sibling.py::TestReduction::test_a_tie_across_the_cut_goes_to_the_parent",),
+    ),
+    Mutant(
+        "the sibling skips its first block", "src/boostkit/sibling.py",
+        "best = stumps._scan(space, lo, n, mode,",
+        "best = stumps._scan(space, lo + 1, n, mode,",
+        ("tests/test_sibling.py::TestReduction::test_the_block_on_either_side_of_the_cut_is_scanned",),
+    ),
+    Mutant(
+        "the parent skips its last block", "src/boostkit/stumps.py",
+        "    best = _scan(space, 0, sibling.cut, mode,",
+        "    best = _scan(space, 0, sibling.cut - 1, mode,",
+        ("tests/test_sibling.py::TestReduction::test_the_block_on_either_side_of_the_cut_is_scanned",),
+    ),
+    Mutant(
+        "the flip path sends w_pos as both arrays", "src/boostkit/sibling.py",
+        "        shared = w_pos is w_neg\n",
+        "        shared = True\n",
+        ("tests/test_sibling.py::test_outputs_identical_with_and_without_the_sibling",),
+    ),
 )
 
 # pytest's exit codes: 0 all passed, 1 some failed, 2 interrupted (a

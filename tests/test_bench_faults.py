@@ -23,8 +23,10 @@ def test_cde_run_reports_the_bench_result_and_the_faults(tmp_path):
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
-    bench, usage = (json.loads(line) for line in done.stdout.splitlines())
+    bench, usage, children = (json.loads(line) for line in done.stdout.splitlines())
     assert bench["correct"] and bench["failed"] == 0
     assert set(bench["metrics"]) == {"total_s", "train_s", "setup_s", "peak_rss_mb"}
     assert set(usage) == {"ru_minflt", "ru_majflt", "ru_utime", "ru_stime"}
     assert usage["ru_minflt"] > 0 and usage["ru_utime"] > 0.0
+    # cde-5k's searches are too small for a sibling process: no child ran
+    assert children == {"ru_maxrss": 0, "ru_minflt": 0, "ru_utime": 0.0, "ru_stime": 0.0}

@@ -8,6 +8,7 @@ commands through it.
 """
 
 import importlib.util
+import os
 from pathlib import Path
 
 import numpy as np
@@ -114,3 +115,43 @@ def test_traced_active_run(tmp_path, capsys):
     metrics = tracing.layer_metrics(tracer.spans, tracer.counters)
     for metric in ("boosting.score_s", "boosting.update_s", "active.select_queries_s"):
         assert metrics[metric][0] > 0.0
+
+
+def test_traced_training_with_the_search_sibling(tmp_path, capsys, monkeypatch):
+    # 20 continuous features with enough rows for the search to split its
+    # blocks with a forked sibling on 2 CPUs: the tracer still sees every
+    # search, with every candidate, as the serial run does
+    from boostkit import stumps
+
+    d, rounds = 20, 4
+    m = -(-stumps._SIBLING_MIN_CANDIDATES // d)
+    rng = np.random.default_rng(8)
+    X = rng.normal(size=(m, d))
+    y = np.where(X[:, 0] + X[:, 1] + rng.normal(size=m) > 0.0, 1.0, -1.0)
+    rows = [",".join([f"x{j}" for j in range(d)] + ["label"])]
+    rows += [",".join(map(repr, r)) for r in np.column_stack([X, y]).tolist()]
+    data = tmp_path / "train.csv"
+    data.write_text("\n".join(rows) + "\n")
+    forks = []
+    fork = os.fork
+
+    def spy():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", spy)
+    counters = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+        argv = ["train", "--data", str(data), "--rounds", str(rounds), "--loss", "logistic",
+                "--stumps", "confidence", "--out", str(tmp_path / f"m{cpus}.txt")]
+        code, tracer, tracing = traced(argv)
+        assert code == 0, capsys.readouterr().err
+        assert len(forks) == cpus - 1
+        assert tracer.counters["stumps.search_calls"] == rounds
+        metrics = tracing.layer_metrics(tracer.spans, tracer.counters)
+        assert metrics["stumps.search_s"][0] > 0.0
+        counters.append(tracer.counters["stumps.candidates_scanned"])
+    assert counters[1] == counters[0] == rounds * m * d

@@ -554,9 +554,9 @@ def test_prior_training_searches_full_sides(monkeypatch):
     seen = []
     real = boosting._best_confidence
 
-    def spy(space, w_pos, w_neg, s):
+    def spy(space, w_pos, w_neg, s, sibling=None):
         seen.append([o.shape[1] for block in space.blocks for o, _ in block.sides])
-        return real(space, w_pos, w_neg, s)
+        return real(space, w_pos, w_neg, s, sibling)
 
     monkeypatch.setattr(boosting, "_best_confidence", spy)
     cfg = boosting.BoostConfig(rounds=1, loss_kind="logistic", stumps=StumpSearchConfig("confidence"))

@@ -5,11 +5,13 @@ Usage, from the root of a source checkout, with ``bench/run.py``'s arguments:
     python3 tools/bench_faults.py --workload cde-5k --seed 1 --seconds 34 --trace 0
 
 ``bench/run.py`` runs in-process through ``runpy`` with the same arguments.
-Its output is held back; then two lines are printed: the bench's last line
-(its JSON result), and one JSON object with this process's ``ru_minflt``,
+Its output is held back; then three lines are printed: the bench's last line
+(its JSON result); one JSON object with this process's ``ru_minflt``,
 ``ru_majflt``, ``ru_utime`` and ``ru_stime`` from ``getrusage`` after the
-run, so the counts cover set-up, every pass and the checks. The exit status
-is the bench's.
+run, so the counts cover set-up, every pass and the checks; and one with the
+reaped children's ``ru_maxrss`` (KiB, the largest child's), ``ru_minflt``,
+``ru_utime`` and ``ru_stime``: the stump search's sibling processes, all
+zero where no search forked one. The exit status is the bench's.
 """
 
 from __future__ import annotations
@@ -40,6 +42,9 @@ def main(argv: list[str]) -> int:
     usage = resource.getrusage(resource.RUSAGE_SELF)
     print(json.dumps({name: getattr(usage, name)
                       for name in ("ru_minflt", "ru_majflt", "ru_utime", "ru_stime")}))
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    print(json.dumps({name: getattr(usage, name)
+                      for name in ("ru_maxrss", "ru_minflt", "ru_utime", "ru_stime")}))
     return code
 
 
