@@ -12,37 +12,11 @@ import ctypes
 import gc
 import mmap
 import os
-import pickle
-import struct
 import warnings
 
 import numpy as np
 
 from . import stumps
-
-# the sibling's fixed-size reply per search mode (0 binary, 1 confidence):
-# stumps._scan's best (value, block index, candidate, then the orientation
-# or the four masses) and the size of the pickled warnings that follow it
-_REPLIES = (struct.Struct("=dqq?I"), struct.Struct("=dqq4dI"))
-# the parent's command: mode, whether w_pos is w_neg, smoothing
-_COMMAND = struct.Struct("=B?d")
-
-
-def _read(fd: int, n: int) -> bytes:
-    """Exactly n bytes from fd; EOFError if it closes first."""
-    data = b""
-    while len(data) < n:
-        chunk = os.read(fd, n - len(data))
-        if not chunk:
-            raise EOFError
-        data += chunk
-    return data
-
-
-def _write(fd: int, data: bytes) -> None:
-    view = memoryview(data)
-    while view:
-        view = view[os.write(fd, view):]
 
 
 class SearchSibling:
@@ -52,16 +26,24 @@ class SearchSibling:
     round's search at once (the GIL serializes threads between the numpy
     calls). The sibling is forked once per training run, after the space is
     built, and holds the space as the fork left it. ``cut`` balances the two
-    halves by candidate count. Each round the parent copies the masses into
-    an anonymous shared mmap made before the fork (``D`` once when it is both
-    ``w_pos`` and ``w_neg``), and writes a fixed-size command (mode, whether
-    the masses are one array, smoothing) down one pipe. The sibling scans
-    its blocks, recording warnings as they come, and writes back its best in
-    a fixed-size reply followed by the warnings, pickled; the parent issues
-    them again after its own blocks' warnings, in the order of the
-    sequential scan. The sibling runs with the cyclic GC off and leaves only
-    through ``os._exit``: when the parent closes the command pipe, or when
-    anything fails. A sibling that stops answering is reaped, with a
+    halves by candidate count. One anonymous shared mmap, made before the
+    fork, holds both mass vectors (``D`` once when it is both ``w_pos`` and
+    ``w_neg``), the smoothing, and slots for the sibling's best: value,
+    block index and candidate (exact as doubles), then the orientation or
+    the four masses. Each round the parent fills it and writes one command
+    byte (the mode, and whether the masses are one array); the sibling scans
+    its blocks and answers with one byte, the number of values it put in the
+    slots.
+
+    The sibling answers only with a best it computed silently. It runs with
+    every warning raised as an error, and a scan that raises or warns
+    answers 0: the parent then scans those blocks itself, after its own, so
+    every warning and error comes where and in the order the sequential scan
+    gives it. The sibling inherits the parent's numpy error state at the
+    fork, so a floating-point condition the parent ignores raises nothing
+    there. It runs with the cyclic GC off and leaves only through
+    ``os._exit``: when the parent closes the command pipe, or when anything
+    else fails. A sibling that stops answering is reaped, with a
     ``RuntimeWarning``, and the parent scans its blocks itself.
     """
 
@@ -69,9 +51,10 @@ class SearchSibling:
         counts = np.cumsum([block.thresholds.shape[0] for block in space.blocks])
         self.cut = 1 + int(np.abs(2 * counts[:-1] - counts[-1]).argmin())
         m = space.blocks[0].orders.shape[1]
-        self._buf = mmap.mmap(-1, 16 * m)
-        self._pos = np.frombuffer(self._buf, np.float64, m)
-        self._neg = np.frombuffer(self._buf, np.float64, m, 8 * m)
+        # w_pos, w_neg, the smoothing and at most 7 values of a best
+        self._buf = mmap.mmap(-1, 8 * (2 * m + 8))
+        doubles = np.frombuffer(self._buf, np.float64)
+        self._pos, self._neg, self._slots = doubles[:m], doubles[m : 2 * m], doubles[2 * m :]
         commands, self._commands = os.pipe()
         self._replies, replies = os.pipe()
         try:
@@ -85,7 +68,7 @@ class SearchSibling:
         if self.pid == 0:
             os.close(self._commands)
             os.close(self._replies)
-            _sibling_main(space, self.cut, self._pos, self._neg, commands, replies)
+            _sibling_main(space, self.cut, self._pos, self._neg, self._slots, commands, replies)
         os.close(commands)
         os.close(replies)
 
@@ -97,27 +80,27 @@ class SearchSibling:
         self._pos[:] = w_pos
         if not shared:
             self._neg[:] = w_neg
+        self._slots[0] = smoothing
         try:
-            _write(self._commands, _COMMAND.pack(mode, shared, smoothing))
+            os.write(self._commands, bytes([mode | shared << 1]))
         except OSError:
             self._stopped()
             return False
         return True
 
-    def receive(self, mode: int) -> tuple | None:
-        """The sibling's best, its warnings issued here; None if it stopped."""
-        reply = _REPLIES[mode]
+    def receive(self) -> tuple | None:
+        """The sibling's best as ``stumps._scan`` gives it; None if this process must scan its blocks."""
         try:
-            *best, size = reply.unpack(_read(self._replies, reply.size))
-            shown = pickle.loads(_read(self._replies, size)) if size else ()
-        except (OSError, EOFError):
+            reply = os.read(self._replies, 1)
+        except OSError:
+            reply = b""
+        if not reply:
             self._stopped()
             return None
-        # the warnings came from stumps' code, where the serial scan issues them
-        registry = vars(stumps).setdefault("__warningregistry__", {})
-        for text, category, filename, lineno in shown:
-            warnings.warn_explicit(text, category, filename, lineno, stumps.__name__, registry)
-        return tuple(best)
+        if not reply[0]:  # its scan warned or raised
+            return None
+        value, k, c, *rest = self._slots[1 : 1 + reply[0]].tolist()
+        return (value, int(k), int(c), *rest)
 
     def __enter__(self) -> SearchSibling:
         return self
@@ -141,30 +124,27 @@ class SearchSibling:
             os.waitpid(pid, 0)
         except ChildProcessError:  # reaped already
             pass
-        self._pos = self._neg = None
+        self._pos = self._neg = self._slots = None
         self._buf.close()
 
 
-def _sibling_main(space, lo, w_pos, w_neg, commands, replies):
-    """The sibling's life: scan blocks lo and on for each command, then os._exit."""
+def _sibling_main(space, lo, w_pos, w_neg, slots, commands, replies):
+    """The sibling's life: scan blocks lo and on for each command byte, then os._exit."""
     code = 1
     try:
         gc.disable()
         _keep_heap()
+        warnings.simplefilter("error")
         n = len(space.blocks)
-        while True:
+        while command := os.read(commands, 1):
+            mode, shared = command[0] & 1, command[0] >> 1
             try:
-                command = _read(commands, _COMMAND.size)
-            except EOFError:
-                code = 0
-                break
-            mode, shared, smoothing = _COMMAND.unpack(command)
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                best = stumps._scan(space, lo, n, mode, w_pos, w_pos if shared else w_neg, smoothing)
-            shown = [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
-            shown = pickle.dumps(shown) if shown else b""
-            _write(replies, _REPLIES[mode].pack(*best, len(shown)) + shown)
+                best = stumps._scan(space, lo, n, mode, w_pos, w_pos if shared else w_neg, slots[0])
+            except Exception:  # warnings included
+                best = ()
+            slots[1 : 1 + len(best)] = best
+            os.write(replies, bytes([len(best)]))
+        code = 0
     finally:
         os._exit(code)
 

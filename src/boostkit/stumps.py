@@ -65,7 +65,10 @@ imported only then). Each round the sibling scans the blocks from
 ``cut`` on while the parent scans those before, and the parent keeps its own
 best unless the sibling's is strictly smaller: the rule between any two
 blocks. Each block's sums are the same in either process, so stumps and
-errors are those of the sequential scan bit for bit.
+errors are those of the sequential scan bit for bit. The sibling answers
+only with a best it computed without a warning or an error; otherwise the
+parent scans the sibling's blocks after its own, so warnings and errors
+come as the sequential scan gives them.
 
 The bounds only keep a block's working set cache-sized: as one ``(d, m)``
 array it spills out of cache. A block of several continuous features has
@@ -377,8 +380,8 @@ def _search(space: StumpSearchSpace, sibling: SearchSibling | None, mode: int,
     if sibling is None or not sibling.send(mode, w_pos, w_neg, smoothing):
         return _scan(space, 0, n, mode, w_pos, w_neg, smoothing)
     best = _scan(space, 0, sibling.cut, mode, w_pos, w_neg, smoothing)
-    other = sibling.receive(mode)
-    if other is None:  # it stopped, and said so: scan its blocks here
+    other = sibling.receive()
+    if other is None:  # its scan warned or raised, or it stopped: scan its blocks here
         other = _scan(space, sibling.cut, n, mode, w_pos, w_neg, smoothing)
     return other if other[0] < best[0] else best
 
@@ -397,7 +400,9 @@ def confidence_output(w_pos: float, w_neg: float, smoothing: float) -> float:
     """Smoothed log-odds output for one side: 0.5*ln((W+ + s)/(W- + s)).
 
     Equal masses give 0 even at smoothing 0 (the symmetric limit); a pure
-    side with smoothing 0 has no finite log-odds and is an error.
+    side with smoothing 0 has no finite log-odds and is an error. Where the
+    quotient of two positive masses rounds to 0 or overflows, the output is
+    0.5*(ln(W+ + s) - ln(W- + s)), which is finite.
     """
     num = w_pos + smoothing
     den = w_neg + smoothing
@@ -408,7 +413,10 @@ def confidence_output(w_pos: float, w_neg: float, smoothing: float) -> float:
             "pure side with smoothing=0 would give an infinite output; "
             "use positive smoothing"
         )
-    return 0.5 * math.log(num / den)
+    ratio = num / den
+    if ratio == 0.0 or ratio == math.inf:
+        return 0.5 * (math.log(num) - math.log(den))
+    return 0.5 * math.log(ratio)
 
 
 def _best_confidence(

@@ -192,6 +192,36 @@ MUTANTS = (
         "        shared = True\n",
         ("tests/test_sibling.py::test_outputs_identical_with_and_without_the_sibling",),
     ),
+    # what the sibling cannot compute silently, and the rounding-level log-odds
+    Mutant(
+        "a 0 reply read as a result", "src/boostkit/sibling.py",
+        "        if not reply[0]:  # its scan warned or raised\n            return None\n",
+        "",
+        ("tests/test_sibling.py::TestWhatTheSiblingCannotComputeSilently::"
+         "test_a_raising_block_raises_as_in_one_process",
+         "tests/test_sibling.py::TestWhatTheSiblingCannotComputeSilently::"
+         "test_warning_blocks_warn_as_in_one_process"),
+    ),
+    Mutant(
+        "the sibling's warnings are not errors", "src/boostkit/sibling.py",
+        '        warnings.simplefilter("error")\n',
+        "",
+        ("tests/test_sibling.py::TestWhatTheSiblingCannotComputeSilently::"
+         "test_warning_blocks_warn_as_in_one_process",),
+    ),
+    Mutant(
+        "no guard on a quotient that rounds to 0 or overflows", "src/boostkit/stumps.py",
+        "    if ratio == 0.0 or ratio == math.inf:\n"
+        "        return 0.5 * (math.log(num) - math.log(den))\n",
+        "",
+        ("tests/test_stumps.py::TestConfidenceOutputs::"
+         "test_a_quotient_rounding_to_zero_gives_the_difference_of_logs",
+         "tests/test_stumps.py::TestConfidenceOutputs::"
+         "test_an_overflowing_quotient_gives_the_difference_of_logs",
+         "tests/test_stumps.py::TestLabelSplitOracle::test_drawn_data",
+         "tests/test_cli.py::TestTrainCommand::"
+         "test_an_overflowing_side_quotient_trains_with_a_clamped_unit_alpha"),
+    ),
 )
 
 # pytest's exit codes: 0 all passed, 1 some failed, 2 interrupted (a

@@ -1,4 +1,5 @@
 import csv
+import math
 import os
 import re
 import stat
@@ -168,6 +169,23 @@ class TestTrainCommand:
                      "--alpha", "unit", "--smoothing", "1e-300", "--out", out]) == 0
         for alpha, stump in load_model(out).model.terms:
             assert max(abs(alpha * stump.left_output), abs(alpha * stump.right_output)) <= 35.0
+
+    def test_an_overflowing_side_quotient_trains_with_a_clamped_unit_alpha(self, tmp_path, capsys):
+        # the left side of a < 0.5 holds W+ = 1/3 and W- = 1e-320/3: W+ / W-
+        # overflows, and its output is the finite difference of the logs
+        data = tmp_path / "w.csv"
+        data.write_text("a,label,weight\n0,1,1\n0,-1,1e-320\n1,-1,1\n1,1,1\n")
+        out = str(tmp_path / "m.txt")
+        assert main(["train", "--data", str(data), "--rounds", "2", "--stumps", "confidence",
+                     "--smoothing", "0", "--out", out]) == 0, capsys.readouterr().err
+        terms = load_model(out).model.terms
+        assert len(terms) == 2
+        for alpha, stump in terms:
+            top = max(abs(stump.left_output), abs(stump.right_output))
+            assert np.isfinite([stump.left_output, stump.right_output]).all()
+            assert top > 35.0 and alpha == 35.0 / top
+        alpha, stump = terms[0]
+        assert stump.left_output == 0.5 * (math.log(1.0 / 3.0) - math.log(1e-320 / 3.0))
 
     def test_eta_with_exponential_loss_rejected(self, tmp_path, np_rng):
         ds = random_classification(np_rng, 10, 1)

@@ -273,3 +273,68 @@ class TestNoProcessLeftBehind:
         train(dataset(X, y), BoostConfig(2))
         assert len(forks) == 1
         assert no_children_left()
+
+
+class TestWhatTheSiblingCannotComputeSilently:
+    """A sibling's scan that raises or warns hands its blocks back to the parent."""
+
+    ROUNDS = 3
+
+    @pytest.fixture
+    def runs(self, cpus, monkeypatch):
+        """Train with act(block) before each block's search, serially and split."""
+        X, y = features(12)
+        ds = dataset(X, y)
+        cfg = BoostConfig(self.ROUNDS, "logistic", StumpSearchConfig("confidence"))
+
+        def run(act):
+            def wrap(block_best):
+                def wrapper(block, *args):
+                    act(block)
+                    return block_best(block, *args)
+
+                return wrapper
+
+            # patched before train forks, so the sibling's blocks act too
+            monkeypatch.setattr(stumps, "_BLOCK_BEST", tuple(map(wrap, stumps._BLOCK_BEST)))
+            outcomes = []
+            for n in (1, 2):
+                cpus(n)
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    try:
+                        result = train(ds, cfg)
+                    except MemoryError as exc:
+                        result = exc
+                shown = [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
+                outcomes.append((result, shown))
+            return outcomes
+
+        return run
+
+    def test_a_raising_block_raises_as_in_one_process(self, runs, forks):
+        def act(block):
+            if block.start == D - 1:  # the sibling's last block
+                raise MemoryError(f"no memory for block {block.start}")
+
+        (serial, serial_shown), (split, split_shown) = runs(act)
+        assert type(serial) is type(split) is MemoryError
+        assert str(serial) == str(split) == f"no memory for block {D - 1}"
+        # no "stopped answering" warning: the sibling answered
+        assert serial_shown == split_shown == []
+        assert len(forks) == 1
+        assert no_children_left()
+
+    def test_warning_blocks_warn_as_in_one_process(self, runs, forks):
+        # block 0 is the parent's, the others the sibling's first and last
+        def act(block):
+            if block.start in (0, D // 2, D - 1):
+                warnings.warn(f"block {block.start}", RuntimeWarning)
+
+        (serial, serial_shown), (split, split_shown) = runs(act)
+        assert split == serial
+        assert split_shown == serial_shown
+        assert [text for _, text, _, _ in split_shown] == (
+            ["block 0", f"block {D // 2}", f"block {D - 1}"] * self.ROUNDS)
+        assert len(forks) == 1
+        assert no_children_left()

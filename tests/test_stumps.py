@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from boostkit.data import uniform_distribution
@@ -20,7 +20,7 @@ from boostkit.stumps import (
 
 import oracles
 from oracles import best_binary_stump, best_confidence_stump
-from conftest import dataset
+from conftest import Pinned, dataset
 
 HALF_LN3 = 0.5493061443340549
 
@@ -154,6 +154,18 @@ class TestConfidenceOutputs:
     def test_zero_smoothing_pure_side_errors(self):
         with pytest.raises(DataError):
             confidence_output(0.6, 0.0, 0.0)
+
+    def test_a_quotient_rounding_to_zero_gives_the_difference_of_logs(self):
+        # 5e-324 / 2.0 rounds to 0.0, whose log does not exist
+        out = confidence_output(5e-324, 2.0, 0.0)
+        assert out == 0.5 * (math.log(5e-324) - math.log(2.0))
+        assert math.isfinite(out) and out < 0.0
+
+    def test_an_overflowing_quotient_gives_the_difference_of_logs(self):
+        # (1/3) / 3.3e-321 overflows to inf
+        out = confidence_output(1.0 / 3.0, 3.3e-321, 0.0)
+        assert out == 0.5 * (math.log(1.0 / 3.0) - math.log(3.3e-321))
+        assert math.isfinite(out) and out > 0.0
 
 
 class TestBestConfidenceStump:
@@ -475,6 +487,12 @@ class TestLabelSplitOracle:
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
+    # masses summing to 2 on the -1 labels: the best side's W+ / W- =
+    # 5e-324 / 2 rounds to 0
+    @example(Pinned(7, 3, "tie-free", [2, 3, 4, 5, 0, 6, 1], "tied", [0.0] * 7,
+                    "tie-free", [2, 3, 4, 5, 0, 6, 1], "-1 only",
+                    [0.0, 0.0, 0.0, 0.0, 5e-324, 1.0, 0.0], 0.0, 3, 21, True,
+                    [0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 1.0]))
     def test_drawn_data(self, data):
         m = data.draw(st.integers(1, 14))
         d = data.draw(st.integers(2, 5))
