@@ -298,13 +298,13 @@ def alpha_logistic_line_search(
     labels: np.ndarray,
     flip_weights: np.ndarray | None = None,
     *,
-    s: np.ndarray | None = None,
+    s: np.ndarray,
 ) -> float:
     """Minimize sum_i w_i ln(1 + exp(-y_i (f_i + alpha h_i))) over alpha.
 
-    ``flip_weights`` b, when given, adds sum_i b_i ln(1 + exp(y_i (f_i +
-    alpha h_i))): each row's mass on the other label. Both derivatives come
-    from one sigmoid s = sigmoid(-(yf + a yh)) per Newton step:
+    ``flip_weights`` b adds sum_i b_i ln(1 + exp(y_i (f_i + alpha h_i))):
+    each row's mass on the other label. Both derivatives come from one
+    sigmoid s = sigmoid(-(yf + a yh)) per Newton step:
     L' = sum (b yh (1 - s) - w yh s) = sum b yh - sum (w + b) yh s and
     L'' = sum (w + b) yh yh s (1 - s), taken only before a step. As s lies
     in [0, 1], |sum b yh| + sum (w + b) |yh| bounds the terms' magnitudes
@@ -312,12 +312,12 @@ def alpha_logistic_line_search(
     w + b > 0, the loss is flat in alpha: the fit has converged, alpha is 0
     and ``s`` is left alone.
 
-    ``s``, when given, holds sigmoid(-y f) per row and is updated in place:
-    the step at alpha = 0 reads it instead of evaluating, and on return it
-    holds sigmoid(-y (f + alpha h)) at every row in the objective (mass
-    w + b > 0 and h != 0), those evaluated at alpha if any were. Other rows
-    are left alone. With y = +-1 and a sign-symmetric rounding, a yh + yf
-    and y (f + a h) are the same double up to the sign of a zero, where the
+    ``s`` holds sigmoid(-y f) per row and is updated in place: the step at
+    alpha = 0 reads it instead of evaluating, and on return it holds
+    sigmoid(-y (f + alpha h)) at every row in the objective (mass w + b > 0
+    and h != 0), those evaluated at alpha if any were. Other rows are left
+    alone. With y = +-1 and a sign-symmetric rounding, a yh + yf and
+    y (f + a h) are the same double up to the sign of a zero, where the
     sigmoid is 0.5 either way: the results are those of evaluating afresh.
     """
     w = np.asarray(base_weights, dtype=np.float64)
@@ -333,7 +333,7 @@ def alpha_logistic_line_search(
         return 0.0
     rows = ... if n == active.shape[0] else active  # every row active: views, not copies
     wa, yha, yfa = w[rows], yh[rows], yf[rows]
-    carried = s if s is None or rows is ... else s[rows]
+    carried = s if rows is ... else s[rows]
     a_cap = _alpha_bound(yha)
     d1_flip = 0.0 if flip_weights is None else float((b[rows] * yha).sum())
     d1w = -wa * yha
@@ -373,12 +373,11 @@ def alpha_logistic_line_search(
         return float(u.sum())
 
     alpha = _newton_1d(grad, curv, a_cap, yha if flip_weights is None else None)
-    if s is not None:
-        sa = next((k[1] for k in kept if k is not None and k[0] == alpha), None)
-        if sa is None:  # e.g. the last bisection point after 200 steps
-            sa = sigmoids(alpha)[0]
-        if sa is not s:
-            s[rows] = sa
+    sa = next((k[1] for k in kept if k is not None and k[0] == alpha), None)
+    if sa is None:  # e.g. the last bisection point after 200 steps
+        sa = sigmoids(alpha)[0]
+    if sa is not s:
+        s[rows] = sa
     return alpha
 
 
@@ -441,12 +440,13 @@ class RoundAccounting:
     the flipped-label ones, and epsilon, z and the loss count both: the
     result is that of training on a set holding each row once per label.
 
-    Logistic loss without flip keeps ``s`` = sigmoid(-y f) per row between
-    rounds, as the line search leaves it (None: evaluate afresh), so D needs
-    no sigmoid of its own. A row of base weight 0 is never searched and may
-    hold a stale value; it meets only 0 * s in D, the same bits for any
-    finite s >= 0. Rows with h = 0 keep theirs: f + alpha * 0 is f up to the
-    sign of a zero.
+    Logistic loss keeps ``s`` = sigmoid(-y f) per row between rounds, as
+    the line search leaves it (None before the first round and after a step
+    the search did not choose), so the own-label half of D needs no sigmoid
+    of its own; with flip, only the other half's sigmoid(y f) is evaluated.
+    A row with no mass is never searched and may hold a stale value; it
+    meets only 0 * s in D, the same bits for any finite s >= 0. Rows with
+    h = 0 keep theirs: f + alpha * 0 is f up to the sign of a zero.
     """
 
     def __init__(
@@ -472,13 +472,11 @@ class RoundAccounting:
     def distribution(self) -> np.ndarray:
         """D for the coming round."""
         if self.loss_kind == "logistic":
+            if self.s is None:
+                self.s = sigmoid(-(self.y * self.f))
+            w = self.base * self.s
             if self.flip is not None:
-                yf = self.y * self.f
-                w = np.concatenate((self.base * sigmoid(-yf), self.flip * sigmoid(yf)))
-            else:
-                if self.s is None:
-                    self.s = sigmoid(-(self.y * self.f))
-                w = self.base * self.s
+                w = np.concatenate((w, self.flip * sigmoid(self.y * self.f)))
             # the masses passed normalized() at construction and sigmoids lie in
             # [0, 1]: only the sum needs a check. A sum of 0 means every product
             # underflowed. D is new: dividing w in place moved the heap's top,
@@ -524,12 +522,10 @@ class RoundAccounting:
 
     def logistic_alpha(self, h: np.ndarray) -> float:
         """The logistic line search's alpha for outputs h, leaving ``s`` at it."""
-        alpha = alpha_logistic_line_search(
+        self._s_alpha = alpha_logistic_line_search(
             self.base, self.f, h, self.y, flip_weights=self.flip, s=self.s
         )
-        if self.s is not None:
-            self._s_alpha = alpha
-        return alpha
+        return self._s_alpha
 
     def step(self, h: np.ndarray, alpha: float) -> float | None:
         """Add alpha * h to f and carry D forward; returns exponential loss's z.

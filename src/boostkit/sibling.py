@@ -8,7 +8,6 @@ two bests by the sequential rule.
 
 from __future__ import annotations
 
-import ctypes
 import gc
 import mmap
 import os
@@ -133,7 +132,7 @@ def _sibling_main(space, lo, w_pos, w_neg, slots, commands, replies):
     code = 1
     try:
         gc.disable()
-        _keep_heap()
+        stumps._keep_heap()
         warnings.simplefilter("error")
         n = len(space.blocks)
         while command := os.read(commands, 1):
@@ -148,22 +147,3 @@ def _sibling_main(space, lo, w_pos, w_neg, slots, commands, replies):
     finally:
         os._exit(code)
 
-
-def _keep_heap() -> None:
-    """Keep glibc from returning freed heap memory to the OS in this process.
-
-    Each round the sibling allocates and frees the same block temporaries.
-    Depending on the heap state the fork left, glibc either reuses them or
-    trims them from the top of the heap (or maps each one afresh) and faults
-    the pages in again: at m = 20,000 and d = 4 that was 56,000 faults per
-    100 rounds, and the parent waited on them. The sibling lives for one
-    training run, so it keeps what it allocates. Without glibc, nothing is
-    changed.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError):
-        return
-    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    mallopt(-1, 2**30)  # M_TRIM_THRESHOLD
-    mallopt(-3, 2**25)  # M_MMAP_THRESHOLD, at its 64-bit maximum

@@ -128,7 +128,7 @@ MUTANTS = (
         "converged logistic line search writes s", "src/boostkit/boosting.py",
         "        return 0.0\n    rows = ... if n == active.shape[0] else active"
         "  # every row active: views, not copies\n    wa, yha, yfa",
-        "        if s is not None:\n            s[:] = 0.5\n"
+        "        s[:] = 0.5\n"
         "        return 0.0\n    rows = ... if n == active.shape[0] else active\n    wa, yha, yfa",
         ("tests/test_boosting.py::TestLineSearchSigmoidHandOff::test_sigmoids_at_the_returned_alpha",),
     ),
@@ -221,6 +221,20 @@ MUTANTS = (
          "tests/test_stumps.py::TestLabelSplitOracle::test_drawn_data",
          "tests/test_cli.py::TestTrainCommand::"
          "test_an_overflowing_side_quotient_trains_with_a_clamped_unit_alpha"),
+    ),
+    # one carried logistic state for plain and prior rounds
+    Mutant(
+        "the flipped half of D built from 1 - s", "src/boostkit/boosting.py",
+        "                w = np.concatenate((w, self.flip * sigmoid(self.y * self.f)))\n",
+        "                w = np.concatenate((w, self.flip * (1.0 - self.s)))\n",
+        ("tests/test_boosting.py::TestTrainOracle::test_terms_and_stats_bit_for_bit",),
+    ),
+    Mutant(
+        "a prior round reads s from an alpha the line search did not set",
+        "src/boostkit/boosting.py",
+        "        if alpha != self._s_alpha:\n",
+        "        if alpha != self._s_alpha and self.flip is None:\n",
+        ("tests/test_boosting.py::TestTrainOracle::test_terms_and_stats_bit_for_bit",),
     ),
 )
 

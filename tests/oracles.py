@@ -96,7 +96,8 @@ def alpha_logistic_line_search(w, f, h, y, cap=35.0, tol=1e-10, flip=None):
     if flip is not None:
         w = w + flip
     active = (w > 0.0) & (yh != 0.0)
-    a_cap = cap / float(np.max(np.abs(yh[active])))
+    # kept finite where a subnormal max|h| overflows the quotient, as in the library
+    a_cap = min(cap / float(np.max(np.abs(yh[active]))), sys.float_info.max)
     wa, yha, yfa = w[active], yh[active], yf[active]
     d1_flip = 0.0 if flip is None else float(np.sum(flip[active] * yha))
 

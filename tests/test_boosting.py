@@ -113,9 +113,10 @@ class TestAlphaLineSearch:
         y = np.array([1.0, -1.0])
         h = np.array([0.0, 2.2250738585e-309])
         assert alpha_line_search(uniform_distribution(2), h, y) == -1.7976931348623157e308
-        a = alpha_logistic_line_search(np.ones(2), np.zeros(2), h, y)
+        f = np.zeros(2)
+        a = alpha_logistic_line_search(np.ones(2), f, h, y, s=sigmoid(-(y * f)))
         assert a == -1.7976931348623157e308
-        assert np.all(np.isfinite(np.zeros(2) + a * h))
+        assert np.all(np.isfinite(f + a * h))
 
     def test_derivative_vanishes_at_optimum(self, np_rng):
         for _ in range(10):
@@ -242,7 +243,7 @@ class TestLineSearchOracle:
         D = np.full(3, 1.0 / 3.0)
         assert alpha_line_search(D, h, y) == oracles.alpha_line_search(D, h, y) == ALPHA_CAP
         f = np.zeros(3)
-        assert alpha_logistic_line_search(np.ones(3), f, -h, y) == (
+        assert alpha_logistic_line_search(np.ones(3), f, -h, y, s=sigmoid(-(y * f))) == (
             oracles.alpha_logistic_line_search(np.ones(3), f, -h, y)
         )
 
@@ -276,7 +277,7 @@ class TestOneSignedSearches:
                 continue
             f = np_rng.normal(scale=float(np_rng.choice([0.1, 2.0, 20.0, 400.0])), size=m)
             del points[:]
-            alpha = alpha_logistic_line_search(w, f, h, y)
+            alpha = alpha_logistic_line_search(w, f, h, y, s=sigmoid(-(y * f)))
             assert len(points) == (0 if sign > 0 else 1)
             assert repr(alpha) == repr(oracles.alpha_logistic_line_search(w, f, h, y))
             D = w / w.sum()
@@ -289,7 +290,8 @@ class TestOneSignedSearches:
         # every y*h < 0, yet L'(cap) = 0: sigmoid(-(800 - 35)) is 0 in doubles
         points = self.evaluations(monkeypatch)
         args = np.ones(2), np.array([800.0, 900.0]), np.array([-1.0, -0.5]), np.ones(2)
-        alpha = alpha_logistic_line_search(*args)
+        w, f, h, y = args
+        alpha = alpha_logistic_line_search(*args, s=sigmoid(-(y * f)))
         assert alpha == ALPHA_CAP == oracles.alpha_logistic_line_search(*args)
         assert points == [ALPHA_CAP]
 
@@ -562,6 +564,9 @@ class TestLineSearchSigmoidHandOff:
     @given(line_search_inputs())
     @example((np.array([1.0, 0.0, 2.0]), np.array([0.0, -0.0, -0.0]), np.array([1.0, 1.0, 0.0]),
               np.array([1.0, -1.0, -1.0]), None))
+    # a subnormal output: the cap 35 / max|h| overflows and alpha stays finite
+    @example((np.array([0.0, 0.5]), np.zeros(2), np.array([0.0, 2.2250738585e-309]),
+              np.array([-1.0, -1.0]), None))
     def test_sigmoids_at_the_returned_alpha(self, inputs):
         w, f, h, y, flip = inputs
         mass = w > 0.0 if flip is None else w + flip > 0.0
@@ -574,7 +579,7 @@ class TestLineSearchSigmoidHandOff:
             return
         with np.errstate(all="ignore"):
             alpha = self.run(w, f, h, y, flip)
-            assert repr(alpha) == repr(alpha_logistic_line_search(w, f, h, y, flip_weights=flip))
+            assert repr(alpha) == repr(oracles.alpha_logistic_line_search(w, f, h, y, flip=flip))
 
     def test_fresh_sigmoids_when_the_last_step_was_elsewhere(self, monkeypatch, np_rng):
         # Newton returning a point it did not evaluate, as after 200 steps
@@ -607,6 +612,29 @@ class TestLineSearchSigmoidHandOff:
         # a step by the same alpha, but along outputs the search never saw
         acc.step(h2, alpha)
         assert acc.distribution().tobytes() == fresh().tobytes()
+
+    def test_prior_rounds_hand_the_search_the_sigmoids_of_their_scores(self, monkeypatch, np_rng):
+        # flip masses and line-search alphas: the search reads s, never evaluates it afresh
+        m = 40
+        X = np_rng.normal(size=(m, 3))
+        y = np.where(X[:, 0] + np_rng.normal(scale=0.8, size=m) > 0.0, 1.0, -1.0)
+        base, flip = np_rng.uniform(0.0, 2.0, size=(2, m))
+        base[:5], flip[3:8] = 0.0, 0.0
+        handed = []
+        search = boosting.alpha_logistic_line_search
+
+        def recorded(w, f, h, labels, flip_weights=None, *, s):
+            handed.append((f.copy(), None if s is None else s.copy()))
+            return search(w, f, h, labels, flip_weights, s=s)
+
+        monkeypatch.setattr(boosting, "alpha_logistic_line_search", recorded)
+        cfg = BoostConfig(rounds=6, loss_kind="logistic", stumps=StumpSearchConfig(mode="confidence"))
+        train(dataset(X, y, weights=base), cfg, _flip=flip)
+        assert len(handed) == 6
+        mass = base + flip > 0.0
+        for f, s in handed:
+            assert s is not None
+            assert s[mass].tobytes() == sigmoid(-(y * f))[mass].tobytes()
 
 
 class TestUpdateDistribution:

@@ -2,12 +2,16 @@ import csv
 import math
 import os
 import re
+import runpy
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from boostkit import cli
+from boostkit import cli, stumps
 from boostkit.cli import main
 from boostkit.data import save_csv
 from boostkit.model_io import load_model
@@ -719,6 +723,29 @@ class TestUsage:
     def test_missing_required_flag(self, capsys):
         assert main(["train", "--rounds", "2"]) == 1
         assert "data" in capsys.readouterr().err
+
+
+class TestCliProcessKeepsItsHeap:
+    """``python -m boostkit`` sets the allocator to keep freed memory; importers keep theirs."""
+
+    def test_main_module_keeps_the_heap_before_main(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(stumps, "_keep_heap", lambda: calls.append("keep heap"))
+        monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 0)
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("boostkit.__main__", run_name="__main__")
+        assert exc.value.code == 0
+        assert calls == ["keep heap", "main"]
+
+    def test_importing_the_cli_keeps_the_allocator(self):
+        code = ("import boostkit.stumps as stumps\n"
+                "calls = []\n"
+                "stumps._keep_heap = lambda: calls.append(1)\n"
+                "import boostkit, boostkit.cli\n"
+                "assert calls == [], calls\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
 
 
 # One bad value per flag that has a checked value; text flags (paths and
