@@ -1,7 +1,5 @@
 import sys
 
-from .cli import main
-from .stumps import _keep_heap
+from .cli import entry_point
 
-_keep_heap()  # the CLI process keeps its heap; importers of boostkit keep their allocator
-sys.exit(main())
+sys.exit(entry_point())

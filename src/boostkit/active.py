@@ -160,6 +160,14 @@ def simulate(ds: Dataset, test: Dataset, cfg: ActiveConfig) -> ActiveResult:
     return result
 
 
+def work(cfg: ActiveConfig, pool: Dataset, test: Dataset) -> int:
+    """The cost of ``simulate(pool, test, cfg)`` in cell-rounds (see ``sibling.run_jobs``): each
+    retrain's rows x features, plus the test and, for uncertainty, pool rows scored, per round."""
+    scored = test.m + (pool.m if cfg.strategy == "uncertainty" else 0)
+    sizes = (min(cfg.init_batch + it * cfg.batch, pool.m) for it in range(cfg.iterations + 1))
+    return cfg.boost.rounds * sum(size * pool.d + scored for size in sizes)
+
+
 CURVE_CSV_COLUMNS = ("strategy", "seed", "iteration", "labels_used", "test_error")
 
 

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import active as active_mod
 from . import density as density_mod
+from . import stumps
 from .boosting import (
     BoostConfig,
     RoundAccounting,
@@ -427,20 +428,13 @@ def cmd_active(opt: dict) -> int:
         ds, test = split(ds, opt["test_fraction"], RngState(opt["split_seed"]))
     cfg = _boost_config(opt, opt["loss"] or "exponential", default_stumps="confidence")
 
-    strategy = opt["strategy"]
-    strategies = ["uncertainty", "random"] if strategy == "both" else [strategy]
-    results = []
-    for strat in strategies:
-        for seed in opt["seeds"]:
-            acfg = active_mod.ActiveConfig(
-                boost=cfg,
-                init_batch=opt["init"],
-                batch=opt["batch"],
-                iterations=opt["iterations"],
-                strategy=strat,
-                seed=seed,
-            )
-            results.append(active_mod.simulate(ds, test, acfg))
+    strategies = ["uncertainty", "random"] if opt["strategy"] == "both" else [opt["strategy"]]
+    configs = [active_mod.ActiveConfig(cfg, opt["init"], opt["batch"], opt["iterations"], strat, seed)
+               for strat in strategies for seed in opt["seeds"]]
+    from .sibling import run_jobs  # imported only when trained
+
+    results = run_jobs(active_mod.simulate, lambda i: (ds, test, configs[i]),
+                       [active_mod.work(acfg, ds, test) for acfg in configs])
     _write_csv(
         opt["out"], active_mod.CURVE_CSV_COLUMNS, map(",".join, active_mod.curve_csv_rows(results))
     )
@@ -489,6 +483,12 @@ def build_parser() -> _Parser:
             p.add_argument(_dashed(key), type=functools.partial(_parse, key), help=_help(key))
         p.set_defaults(handler=command)
     return parser
+
+
+def entry_point() -> int:
+    """The ``boostkit`` program and ``python -m boostkit``: ``main``, with the heap kept."""
+    stumps._keep_heap()
+    return main()
 
 
 def main(argv=None) -> int:

@@ -142,7 +142,7 @@ def train_cde(ds: Dataset, k: int, cfg: BoostConfig) -> ConditionalDensityModel:
     """Train one logistic boosted classifier per breakpoint.
 
     The per-breakpoint trainings are independent (same features, binary
-    labels y >= b_j) and share the boosting config.
+    labels y >= b_j), so they run as ``sibling.run_jobs`` jobs.
     """
     if ds.is_classification:
         raise DataError("density estimation requires real-valued labels")
@@ -150,19 +150,19 @@ def train_cde(ds: Dataset, k: int, cfg: BoostConfig) -> ConditionalDensityModel:
         raise UsageError("density estimation requires logistic loss")
     bps = choose_breakpoints(ds.labels, k)
     space = StumpSearchSpace(ds.features)
-    classifiers: list[AdditiveModel] = []
-    flags: list[bool] = []
-    for b in bps.values:
-        z = np.where(ds.labels >= b, 1.0, -1.0)
-        n_pos = int(np.sum(z > 0.0))
-        if n_pos == 0 or n_pos == ds.m:
-            classifiers.append(_constant_classifier(n_pos, ds.m))
-            flags.append(True)
-            continue
-        model, _ = train(replace(ds, labels=z, prior=None), cfg, _space=space, _stats=False)
-        classifiers.append(model)
-        flags.append(False)
-    return ConditionalDensityModel(bps, tuple(classifiers), tuple(flags))
+    n_pos = [int(np.count_nonzero(ds.labels >= b)) for b in bps.values]
+    flags = tuple(n in (0, ds.m) for n in n_pos)
+    fitted = [b for b, flag in zip(bps.values, flags) if not flag]
+    from .sibling import run_jobs  # imported only when trained
+
+    def job(i):
+        return replace(ds, labels=np.where(ds.labels >= fitted[i], 1.0, -1.0), prior=None), cfg
+
+    trained = iter(run_jobs(train, job, [cfg.rounds * ds.m * ds.d] * len(fitted),
+                            _space=space, _stats=False))
+    classifiers = tuple(_constant_classifier(n, ds.m) if flag else next(trained)[0]
+                        for n, flag in zip(n_pos, flags))
+    return ConditionalDensityModel(bps, classifiers, flags)
 
 
 def distribution_from_scores(q_raw: np.ndarray, breakpoints: Breakpoints) -> BinDistribution:

@@ -75,9 +75,9 @@ array it spills out of cache. A block of several continuous features has
 about as many candidates as cells, and without the candidate bound its
 per-candidate temporaries are large enough that the C allocator hands them
 back to the OS and faults them in again on every round. ``_keep_heap`` keeps
-the allocator from handing freed memory back at all, in the two processes
-that are programs of their own: the search sibling and ``python -m
-boostkit``.
+the allocator from handing freed memory back at all, in the processes that
+are programs of their own: the forked siblings and the ``boostkit`` program
+(``cli.entry_point``).
 """
 
 from __future__ import annotations
@@ -86,8 +86,6 @@ import contextlib
 import copy
 import ctypes
 import math
-import os
-import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -103,9 +101,10 @@ if TYPE_CHECKING:
 _BLOCK_CELLS = 2**14
 _BLOCK_CANDIDATES = 2**12
 # a search over fewer candidates than this runs in one process (see
-# search_sibling): near the measured crossover, where `cde train` at m =
-# 5,000 with a sibling per breakpoint took 0.97x the serial time at 65,000
-# candidates and 1.03x at 40,000
+# search_sibling): near the measured crossover, where the trainings of `cde
+# train` at m = 5,000, each with a sibling, took 0.97x the serial time at
+# 65,000 candidates and 1.03x at 40,000. `cde train` and `active` now split
+# whole trainings between two processes instead (sibling.run_jobs)
 _SIBLING_MIN_CANDIDATES = 2**16
 
 
@@ -440,23 +439,18 @@ def _best_confidence(
 def search_sibling(space: StumpSearchSpace):
     """A ``sibling.SearchSibling`` for the searches of space, or a null context where it would not pay.
 
-    It runs only with at least 2 CPUs to run on, ``os.fork``, no other
-    Python thread (a thread holding a lock at the fork would leave it held
-    in the sibling), at least 2 blocks, and at least
-    ``_SIBLING_MIN_CANDIDATES`` candidates per search. Either way it is
-    entered with ``with``, which yields the sibling or None.
+    It needs at least 2 blocks, ``_SIBLING_MIN_CANDIDATES`` candidates per
+    search and ``sibling.may_fork``. It is entered with ``with``, which
+    yields the sibling or None.
     """
     if (
         len(space.blocks) >= 2
         and sum(block.thresholds.shape[0] for block in space.blocks) >= _SIBLING_MIN_CANDIDATES
-        and hasattr(os, "fork")
-        and hasattr(os, "sched_getaffinity")
-        and len(os.sched_getaffinity(0)) >= 2
-        and threading.active_count() == 1
     ):
-        from .sibling import SearchSibling  # imported only where a search forks
+        from . import sibling  # imported only where a search may fork
 
-        return SearchSibling(space)
+        if sibling.may_fork():
+            return sibling.SearchSibling(space)
     return contextlib.nullcontext()
 
 
@@ -468,10 +462,10 @@ def _keep_heap() -> None:
     the top of the heap (or maps each one afresh) and faults the pages in
     again: in the search sibling at m = 20,000 and d = 4 that was 56,000
     faults per 100 rounds, and a fresh CLI process training over 20,000 rows
-    took 243,600 faults where it takes 15,000 with this. The sibling calls
-    it, as does the CLI's ``__main__``: each is a process of its own that
-    keeps what it allocates until it exits. Programs that import boostkit
-    keep their allocator. Without glibc, nothing is changed.
+    took 243,600 faults where it takes 15,000 with this. Forked siblings call
+    it, as does ``cli.entry_point``: each is a process of its own that keeps
+    what it allocates until it exits. Programs that import boostkit keep
+    their allocator. Without glibc, nothing is changed.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt

@@ -4,9 +4,9 @@ Usage, from the root of a source checkout:
 
     python tests/mutants.py
 
-The script copies ``src/``, ``tests/`` and ``pyproject.toml`` to a temporary
-directory and first runs every named test on the unmutated copy; all must
-pass. It then applies one mutant at a time: the mutant's original text must
+The script copies ``src/``, ``tests/``, ``bench/`` and ``pyproject.toml`` to a
+temporary directory and first runs every named test on the unmutated copy;
+all must pass (if not, pytest's whole output is printed). It then applies one mutant at a time: the mutant's original text must
 occur exactly once in its file and is replaced; the mutant's tests run; the
 file is restored. A mutant is *killed* when a test fails, *survived* when
 all pass, and *stale* when its original text is not found once or pytest
@@ -236,6 +236,38 @@ MUTANTS = (
         "        if alpha != self._s_alpha and self.flip is None:\n",
         ("tests/test_boosting.py::TestTrainOracle::test_terms_and_stats_bit_for_bit",),
     ),
+    # the job worker: each job once, in order, and only where it pays and is not traced
+    Mutant(
+        "the parent runs the child's jobs again", "src/boostkit/sibling.py",
+        "            got = None if own else child.receive()\n",
+        "            got = None if own else child.receive() and None\n",
+        ("tests/test_sibling.py::TestJobOutputs::test_each_job_runs_once_and_results_keep_the_job_order",),
+    ),
+    Mutant(
+        "the child skips its last job", "src/boostkit/sibling.py",
+        "        for i in theirs:\n",
+        "        for i in theirs[:-1]:\n",
+        ("tests/test_sibling.py::TestJobOutputs::test_each_job_runs_once_and_results_keep_the_job_order",),
+    ),
+    Mutant(
+        "the child's results joined out of order", "src/boostkit/sibling.py",
+        "        for i in theirs:\n",
+        "        for i in reversed(theirs):\n",
+        ("tests/test_sibling.py::TestJobOutputs::test_artifacts_identical_with_one_and_two_cpus",),
+    ),
+    Mutant(
+        "no work gate", "src/boostkit/sibling.py",
+        "    if load[1] < _JOBS_MIN_WORK or ",
+        "    if ",
+        ("tests/test_sibling.py::TestWhenTheJobChildRuns::test_runs_under_the_work_gate_never_fork",),
+    ),
+    Mutant(
+        "jobs split under a tracer's wrapper", "src/boostkit/sibling.py",
+        ' or hasattr(fn, "__wrapped__")',
+        "",
+        ("tests/test_sibling.py::TestWhenTheJobChildRuns::"
+         "test_a_traced_run_stays_in_one_process_and_counts_as_serial",),
+    ),
 )
 
 # pytest's exit codes: 0 all passed, 1 some failed, 2 interrupted (a
@@ -272,13 +304,13 @@ def main() -> int:
     start = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="boostkit-mutants-") as tmp:
         tree = Path(tmp)
-        skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
-        for name in ("src", "tests"):
+        skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache", ".bench_out")
+        for name in ("src", "tests", "bench"):  # tests load bench/tracing.py
             shutil.copytree(ROOT / name, tree / name, ignore=skip)
         shutil.copy2(ROOT / "pyproject.toml", tree)
         baseline = run_tests(tree, sorted({t for m in MUTANTS for t in m.tests}))
-        if baseline.returncode != _PASSED:
-            print(baseline.stdout[-3000:])
+        if baseline.returncode != _PASSED:  # the whole output: it holds any falsifying example
+            print(baseline.stdout, baseline.stderr, sep="\n")
             print("the unmutated tree fails the named tests", file=sys.stderr)
             return 1
         counts = {"killed": 0, "survived": 0, "stale": 0}

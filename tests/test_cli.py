@@ -1,4 +1,5 @@
 import csv
+import importlib
 import math
 import os
 import re
@@ -726,7 +727,8 @@ class TestUsage:
 
 
 class TestCliProcessKeepsItsHeap:
-    """``python -m boostkit`` sets the allocator to keep freed memory; importers keep theirs."""
+    """The ``boostkit`` command and ``python -m boostkit`` set the allocator to keep freed
+    memory; importers keep theirs."""
 
     def test_main_module_keeps_the_heap_before_main(self, monkeypatch):
         calls = []
@@ -735,6 +737,18 @@ class TestCliProcessKeepsItsHeap:
         with pytest.raises(SystemExit) as exc:
             runpy.run_module("boostkit.__main__", run_name="__main__")
         assert exc.value.code == 0
+        assert calls == ["keep heap", "main"]
+
+    def test_the_installed_command_keeps_the_heap_before_main(self, monkeypatch):
+        tomllib = pytest.importorskip("tomllib")
+        with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+            target = tomllib.load(fh)["project"]["scripts"]["boostkit"]
+        module, _, name = target.partition(":")
+        entry = getattr(importlib.import_module(module), name)
+        calls = []
+        monkeypatch.setattr(stumps, "_keep_heap", lambda: calls.append("keep heap"))
+        monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 0)
+        assert entry() == 0
         assert calls == ["keep heap", "main"]
 
     def test_importing_the_cli_keeps_the_allocator(self):

@@ -1,4 +1,5 @@
-"""The stump search's sibling process gives the sequential scan's results.
+"""The stump search's sibling process gives the sequential scan's results,
+and the job child gives those of the serial job loop.
 
 ``train`` forks a sibling that scans the last blocks of each round's search
 when the search is large enough and two CPUs are there to run it. These
@@ -14,7 +15,7 @@ import warnings
 import numpy as np
 import pytest
 
-from boostkit import boosting, cli, stumps
+from boostkit import boosting, cli, density, sibling, stumps
 from boostkit.boosting import BoostConfig, train
 from boostkit.density import train_cde
 from boostkit.sibling import SearchSibling
@@ -26,6 +27,7 @@ from boostkit.stumps import (
 )
 
 from conftest import dataset
+from test_bench_tracing import load_tracing
 
 D = 20
 # 20 continuous features of M distinct values: just enough candidates per
@@ -338,3 +340,209 @@ class TestWhatTheSiblingCannotComputeSilently:
             ["block 0", f"block {D // 2}", f"block {D - 1}"] * self.ROUNDS)
         assert len(forks) == 1
         assert no_children_left()
+
+
+# ---------------------------------------------------------------------------
+# The job worker: `cde train`'s breakpoints and `active`'s series, split
+# between the parent and one forked child (``sibling.run_jobs``)
+
+
+def regression_csv(path, seed, m=1_000, d=4):
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-1.0, 1.0, size=(m, d))
+    return write_csv(path, X, X[:, 0] + rng.normal(scale=0.3, size=m))
+
+
+def word_csvs(tmp_path, seed, pool=400, test=200, d=20):
+    rng = np.random.default_rng(seed)
+    X = (rng.uniform(size=(pool + test, d)) < 0.3).astype(float)
+    y = np.where(X[:, 0] + X[:, 1] - X[:, 2] + rng.normal(scale=0.3, size=pool + test) > 0.5,
+                 1.0, -1.0)
+    return (write_csv(tmp_path / "pool.csv", X[:pool], y[:pool]),
+            write_csv(tmp_path / "test.csv", X[pool:], y[pool:]))
+
+
+def cde_argv(data, out, rounds=20):
+    # 4 breakpoints of 20 rounds at m = 1,000 and d = 4: 160,000 cell-rounds
+    # for the child, above the work gate
+    return ["cde", "train", "--data", data, "--k", "4", "--rounds", str(rounds),
+            "--out", str(out)]
+
+
+def active_argv(pool, test, out, iterations=6, rounds=10):
+    # 2 strategies x 2 seeds of 7 retrains at m = 100..400 over 20 features
+    return ["active", "--data", pool, "--test", test, "--strategy", "both", "--init", "100",
+            "--batch", "50", "--iterations", str(iterations), "--seeds", "0,1",
+            "--rounds", str(rounds), "--out", str(out)]
+
+
+def cde_dataset(seed, m=1_000, d=4):
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-1.0, 1.0, size=(m, d))
+    return dataset(X, X[:, 0] + rng.normal(scale=0.3, size=m))
+
+
+CDE_CFG = BoostConfig(20, "logistic", StumpSearchConfig("confidence"))
+
+
+def shown(caught):
+    return [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
+
+
+class TestJobOutputs:
+    @pytest.mark.parametrize("command", ["cde train", "active"])
+    def test_artifacts_identical_with_one_and_two_cpus(self, command, tmp_path, cpus, forks,
+                                                       capsys):
+        outputs = []
+        for n in (1, 2):
+            cpus(n)
+            out = tmp_path / f"cpus{n}.out"
+            if command == "cde train":
+                argv = cde_argv(regression_csv(tmp_path / "reg.csv", 20), out)
+            else:
+                argv = active_argv(*word_csvs(tmp_path, 21), out)
+            assert cli.main(argv) == 0, capsys.readouterr().err
+            assert len(forks) == n - 1
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert no_children_left()
+
+    def test_each_job_runs_once_and_results_keep_the_job_order(self, tmp_path, cpus, forks):
+        log = tmp_path / "jobs.log"
+
+        def job(i):
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()} {i}\n")
+            return [i] * (i + 1)
+
+        cpus(2)
+        work = [sibling._JOBS_MIN_WORK] * 5
+        assert sibling.run_jobs(job, lambda i: (i,), work) == [[i] * (i + 1) for i in range(5)]
+        ran = [line.split() for line in log.read_text().splitlines()]
+        assert sorted(int(i) for _, i in ran) == list(range(5))
+        # in job order, each job goes to the side with less work so far
+        by_pid = {pid: [int(i) for p, i in ran if p == pid] for pid, _ in ran}
+        assert by_pid == {str(os.getpid()): [0, 2, 4], str(forks[0]): [1, 3]}
+        assert no_children_left()
+
+
+class TestJobWarningsAndErrors:
+    def test_a_warning_job_warns_as_in_one_process(self, tmp_path, cpus, forks, capsys):
+        # 380 rows: each uncertainty series' last query finds 30 rows left
+        # for a batch of 50 and warns, in the parent (seed 0) and in the
+        # child (seed 1), which hands that series back
+        pool, test = word_csvs(tmp_path, 22, pool=380)
+        outcomes = []
+        for n in (1, 2):
+            cpus(n)
+            out = tmp_path / f"cpus{n}.csv"
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert cli.main(active_argv(pool, test, out)) == 0, capsys.readouterr().err
+            outcomes.append((out.read_bytes(), shown(caught)))
+        assert outcomes[0] == outcomes[1]
+        assert [text for _, text, _, _ in outcomes[1][1]] == [
+            "only 30 unlabeled examples remain; returning all"] * 2
+        assert len(forks) == 1
+        assert no_children_left()
+
+    def test_a_raising_job_raises_as_in_one_process(self, cpus, forks, monkeypatch):
+        ds = cde_dataset(23)
+        second = np.where(ds.labels >= density.choose_breakpoints(ds.labels, 4).values[1],
+                          1.0, -1.0)
+        train = density.train
+
+        def train_or_raise(job, cfg, **kwargs):  # breakpoint 1 is the child's
+            if np.array_equal(job.labels, second):
+                raise MemoryError("no memory for breakpoint 1")
+            return train(job, cfg, **kwargs)
+
+        monkeypatch.setattr(density, "train", train_or_raise)
+        for n in (1, 2):
+            cpus(n)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with pytest.raises(MemoryError, match="no memory for breakpoint 1"):
+                    train_cde(ds, 4, CDE_CFG)
+            assert shown(caught) == []
+        assert len(forks) == 1
+        assert no_children_left()
+
+    def test_a_killed_child_leaves_its_jobs_to_the_parent(self, cpus, forks, monkeypatch):
+        ds = cde_dataset(24)
+        cpus(1)
+        expected = train_cde(ds, 4, CDE_CFG)
+        cpus(2)
+        parent, train = os.getpid(), density.train
+
+        def kill_first(*args, **kwargs):  # before the parent's first job
+            if os.getpid() == parent and len(forks) == 1:
+                os.kill(forks.pop(), signal.SIGKILL)
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(density, "train", kill_first)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = train_cde(ds, 4, CDE_CFG)
+        assert (got.classifiers, got.constant_flags) == (expected.classifiers,
+                                                         expected.constant_flags)
+        assert [(category, text) for category, text, _, _ in shown(caught)] == [
+            (RuntimeWarning, "the job list's sibling process stopped answering; "
+                             "this process does its part")]
+        assert no_children_left()
+
+
+class TestWhenTheJobChildRuns:
+    def test_runs_under_the_work_gate_never_fork(self, tmp_path, cpus, forks, capsys):
+        cpus(2)
+        # 4 breakpoints of 16 rounds over 4 features: the child's 2 get
+        # 2 * 16 * 4 * m cell-rounds, 2**17 at m = 1,024
+        for m, forked in ((1_024, 1), (1_023, 0)):
+            argv = cde_argv(regression_csv(tmp_path / "reg.csv", 25, m=m), tmp_path / "m.txt",
+                            rounds=16)
+            assert cli.main(argv) == 0, capsys.readouterr().err
+            assert len(forks) == forked
+            forks.clear()
+        argv = active_argv(*word_csvs(tmp_path, 25), tmp_path / "c.csv", iterations=2, rounds=2)
+        assert cli.main(argv) == 0, capsys.readouterr().err
+        assert forks == []
+        assert no_children_left()
+
+    def test_no_search_sibling_in_a_job_child_or_its_parent(self, tmp_path, cpus, monkeypatch):
+        # 2 breakpoints whose searches alone would each fork a search sibling
+        log = tmp_path / "forks.log"
+        fork = os.fork
+
+        def logged():
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", logged)
+        cpus(2)
+        X, _ = features(26)
+        z = X[:, 0] + np.random.default_rng(26).normal(scale=0.3, size=M)
+        model = train_cde(dataset(X, z), 2, BoostConfig(3, "logistic",
+                                                        StumpSearchConfig("confidence")))
+        assert model.k == 2 and not any(model.constant_flags)
+        assert log.read_text().split() == [str(os.getpid())]
+        assert no_children_left()
+
+    def test_a_traced_run_stays_in_one_process_and_counts_as_serial(self, tmp_path, cpus, forks,
+                                                                    capsys):
+        data = regression_csv(tmp_path / "reg.csv", 27)
+        counters = []
+        for n in (1, 2):
+            cpus(n)
+            tracing = load_tracing()
+            tracer = tracing.Tracer()
+            tracing.install(tracer)
+            try:
+                code = tracer.span("cli.cde", 0, cli.main, cde_argv(data, tmp_path / "m.txt"))
+            finally:
+                tracer.uninstall()
+            assert code == 0, capsys.readouterr().err
+            counters.append(dict(tracer.counters))
+        assert forks == []
+        assert counters[0] == counters[1]
+        assert counters[1]["stumps.search_calls"] == 4 * 20

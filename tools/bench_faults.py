@@ -10,8 +10,9 @@ Its output is held back; then three lines are printed: the bench's last line
 ``ru_majflt``, ``ru_utime`` and ``ru_stime`` from ``getrusage`` after the
 run, so the counts cover set-up, every pass and the checks; and one with the
 reaped children's ``ru_maxrss`` (KiB, the largest child's), ``ru_minflt``,
-``ru_utime`` and ``ru_stime``: the stump search's sibling processes, all
-zero where no search forked one. The exit status is the bench's.
+``ru_utime`` and ``ru_stime``: the stump search's sibling processes and the
+job children of ``cde train`` and ``active``, all zero where none was
+forked. The exit status is the bench's.
 """
 
 from __future__ import annotations
