@@ -15,18 +15,10 @@ from .boosting import (
     alpha_binary,
     alpha_line_search,
     bound_report,
-    logistic_weights,
     train,
     update_distribution,
 )
-from .data import (
-    Dataset,
-    load_csv,
-    normalized,
-    save_csv,
-    split,
-    uniform_distribution,
-)
+from .data import Dataset, load_csv, normalized, split
 from .density import (
     BinDistribution,
     Breakpoints,
@@ -38,17 +30,12 @@ from .density import (
     train_cde,
 )
 from .errors import BoostkitError, DataError, InvariantError, UsageError
-from .losses import (
-    common_minimizer_check,
-    prob_positive,
-    taylor_match_check,
-)
+from .losses import prob_positive
 from .model_io import load_model, save_classifier, save_density
 from .prior import (
     PriorConfig,
     PriorRule,
     augment_with_prior,
-    prior_loss,
     relative_entropy,
     train_with_prior,
 )
@@ -81,27 +68,21 @@ __all__ = [
     "augment_with_prior",
     "bound_report",
     "choose_breakpoints",
-    "common_minimizer_check",
     "conditional_distribution",
     "load_csv",
     "load_model",
-    "logistic_weights",
     "normalized",
-    "prior_loss",
     "prob_positive",
     "quantile",
     "relative_entropy",
     "sample",
     "save_classifier",
-    "save_csv",
     "save_density",
     "select_queries",
     "simulate",
     "split",
-    "taylor_match_check",
     "train",
     "train_cde",
     "train_with_prior",
-    "uniform_distribution",
     "update_distribution",
 ]

@@ -404,14 +404,6 @@ def _base_weights(ds: Dataset) -> np.ndarray:
     return ds.weights if ds.weights is not None else np.ones(ds.m)
 
 
-def logistic_weights(model: AdditiveModel, ds: Dataset) -> np.ndarray:
-    """Distribution proportional to base_weight * sigmoid(-y * f(x))."""
-    if not ds.is_classification:
-        raise DataError("weight schemes require classification labels")
-    w = _base_weights(ds) * sigmoid(-(ds.labels * model.score(ds.features)))
-    return normalized(w)
-
-
 def _log_weighted_exp_mean(base: np.ndarray, exponents: np.ndarray) -> float:
     """ln( sum(base * exp(exponents)) / sum(base) ), overflow-safe."""
     mx = float(exponents.max())

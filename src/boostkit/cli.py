@@ -107,13 +107,14 @@ def _choice(values: dict[str, str]) -> _Kind:
 
 _TEXT = _Kind(str, None)
 _POSITIVE = _number(int, lambda v: v >= 1, "an integer >= 1")
-_NONNEGATIVE = _number(int, lambda v: v >= 0, "an integer >= 0")  # seeds too, as RngState requires
+_NONNEGATIVE = _number(int, lambda v: v >= 0, "an integer >= 0")
+_SEED = _number(int, lambda v: 0 <= v < 2**64, "an integer in [0, 2**64)")  # as RngState requires
 _FINITE_NONNEGATIVE = _number(float, lambda v: 0.0 <= v < math.inf, "finite and nonnegative")
 _OPEN_UNIT = _number(float, lambda v: 0.0 < v < 1.0, "in (0, 1)")
 
 
 def _seed_list(text: str) -> list[int]:
-    seeds = [_NONNEGATIVE.parse(s) for s in text.split(",") if s.strip() != ""]
+    seeds = [_SEED.parse(s) for s in text.split(",") if s.strip() != ""]
     if not seeds:
         raise ValueError(text)
     return seeds
@@ -151,18 +152,18 @@ _FLAGS = {
                  "line-search": "line_search", "unit": "unit"}),
         "auto", "vote-weight strategy"),
     "smoothing": _Flag(_FINITE_NONNEGATIVE, None, "confidence smoothing, by default 1/(2m)"),
-    "seed": _Flag(_NONNEGATIVE, "0", "recorded in trained models; seeds the draws of cde sample"),
+    "seed": _Flag(_SEED, "0", "recorded in trained models; seeds the draws of cde sample"),
     "k": _Flag(_POSITIVE, _REQUIRED, "number of breakpoints"),
     "n_samples": _Flag(_POSITIVE, "1", "draws per row"),
     "level": _Flag(_OPEN_UNIT, _REQUIRED, "quantile level"),
     "test_fraction": _Flag(_OPEN_UNIT, "0.3", "share of rows held out when there is no test file"),
-    "split_seed": _Flag(_NONNEGATIVE, "0", "seed of that split"),
+    "split_seed": _Flag(_SEED, "0", "seed of that split"),
     "strategy": _Flag(_choice({"uncertainty": "uncertainty", "random": "random", "both": "both"}),
                       "both", "labeling strategy"),
     "init": _Flag(_POSITIVE, "500", "initial random batch"),
     "batch": _Flag(_POSITIVE, "200", "per-iteration batch"),
     "iterations": _Flag(_NONNEGATIVE, "10", "query iterations"),
-    "seeds": _Flag(_Kind(_seed_list, "a comma-separated list of integers >= 0"), "0",
+    "seeds": _Flag(_Kind(_seed_list, "a comma-separated list of integers in [0, 2**64)"), "0",
                    "one paired run per seed"),
 }
 _CONFIG_KEYS = frozenset(_FLAGS) - {"config"}

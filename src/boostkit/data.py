@@ -1,4 +1,4 @@
-"""Datasets, example-weight vectors, train/test splits, and CSV I/O.
+"""Datasets, example-weight vectors, train/test splits, CSV reading and atomic writes.
 
 Conventions used throughout the package:
 
@@ -12,8 +12,7 @@ Conventions used throughout the package:
   mode iff every label is exactly -1 or +1; otherwise it is in *regression*
   mode and labels may be any finite reals.
 - Weight vectors over examples ("distributions") are plain float64 arrays
-  that are nonnegative and sum to 1. :func:`uniform_distribution` and
-  :func:`normalized` build them.
+  that are nonnegative and sum to 1. :func:`normalized` builds them.
 
 CSV files are UTF-8, comma-separated, with one header row. The label column
 is named ``label`` by default; ``prior`` and ``weight`` are reserved column
@@ -36,7 +35,6 @@ such an array and then makes it writable again breaks that promise.
 from __future__ import annotations
 
 import csv
-import io
 import math
 import os
 import tempfile
@@ -80,8 +78,6 @@ class Dataset:
     labels: np.ndarray
     prior: np.ndarray | None = None
     weights: np.ndarray | None = None
-    feature_names: tuple[str, ...] = ()
-    label_name: str = "label"
 
     def __post_init__(self):
         X = _readonly(np.atleast_2d(self.features))
@@ -111,12 +107,6 @@ class Dataset:
                 raise DataError("weights must have one entry per example")
             normalized(w)  # raises unless finite, nonnegative and not all zero
             object.__setattr__(self, "weights", w)
-        names = tuple(self.feature_names) or tuple(
-            f"f{j}" for j in range(X.shape[1])
-        )
-        if len(names) != X.shape[1]:
-            raise DataError("feature_names length must match feature count")
-        object.__setattr__(self, "feature_names", names)
 
     @property
     def m(self) -> int:
@@ -140,17 +130,6 @@ class Dataset:
             prior=None if self.prior is None else self.prior[idx],
             weights=None if self.weights is None else self.weights[idx],
         )
-
-
-def uniform_distribution(m: int) -> np.ndarray:
-    """Length-m weight vector with all entries 1/m.
-
-    Computed as normalized(ones) so it is bit-identical to the initial
-    distribution of an unweighted training run.
-    """
-    if m < 1:
-        raise DataError("need at least one example")
-    return normalized(np.ones(m))
 
 
 def normalized(w: np.ndarray) -> np.ndarray:
@@ -180,6 +159,8 @@ def split(ds: Dataset, test_fraction: float, rng: RngState) -> tuple[Dataset, Da
         raise DataError(
             f"test_fraction={test_fraction} leaves no training rows (m={ds.m})"
         )
+    if n_test < 1:
+        raise DataError(f"test_fraction={test_fraction} leaves no test rows (m={ds.m})")
     perm = rng.permutation(ds.m)
     test_idx = np.sort(perm[:n_test])
     train_idx = np.sort(perm[n_test:])
@@ -264,8 +245,8 @@ def _read_blocks(fh, width: int, cols: list[int], d: int, prior: int | None, bou
     return X, others
 
 
-def _read_csv(path: str, pick) -> tuple[list[str], np.ndarray, dict[str, np.ndarray]]:
-    """Feature names, feature matrix and other columns by name, in row order.
+def _read_csv(path: str, pick) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Feature matrix and other columns by name, in row order.
 
     ``pick(header)`` returns the feature columns, the other columns to parse
     and the prior among them or None; no other column is parsed. The bulk
@@ -318,7 +299,7 @@ def _read_csv(path: str, pick) -> tuple[list[str], np.ndarray, dict[str, np.ndar
         X, columns = values[:, :d], list(values[:, d:].T)
     for a in (X, *columns):
         a.flags.writeable = False
-    return features, X, dict(zip(others, columns))
+    return X, dict(zip(others, columns))
 
 
 def load_csv(
@@ -346,14 +327,12 @@ def load_csv(
         others = [c for c in (label_column, prior, WEIGHT_COLUMN) if c in header]
         return [h for h in header if h not in others], others, prior
 
-    features, X, columns = _read_csv(path, pick)
+    X, columns = _read_csv(path, pick)
     return Dataset(
         features=X,
         labels=columns[label_column],
         prior=columns.get(PRIOR_COLUMN if prior_column is None else prior_column),
         weights=columns.get(WEIGHT_COLUMN),
-        feature_names=tuple(features),
-        label_name=label_column,
     )
 
 
@@ -364,7 +343,7 @@ def load_features_csv(path: str, label_column: str = "label") -> np.ndarray:
     parsed; everything else must parse as finite numbers.
     """
     skip = (label_column, PRIOR_COLUMN, WEIGHT_COLUMN)
-    return _read_csv(path, lambda header: ([h for h in header if h not in skip], [], None))[1]
+    return _read_csv(path, lambda header: ([h for h in header if h not in skip], [], None))[0]
 
 
 def atomic_write_text(path: str, text: str | Iterable[str]) -> None:
@@ -386,19 +365,3 @@ def atomic_write_text(path: str, text: str | Iterable[str]) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def save_csv(ds: Dataset, path: str) -> None:
-    """Write a Dataset as CSV; reloading it yields an identical Dataset.
-
-    Floats use Python's shortest round-trip representation; lines end in
-    CRLF, as csv.writer writes them.
-    """
-    named = [(n, c) for n, c in ((PRIOR_COLUMN, ds.prior), (WEIGHT_COLUMN, ds.weights))
-             if c is not None]
-    columns = [*ds.features.T, ds.labels, *(c for _, c in named)]
-    text = io.StringIO()
-    writer = csv.writer(text)
-    writer.writerow([*ds.feature_names, ds.label_name, *(n for n, _ in named)])
-    writer.writerows([repr(float(v)) for v in row] for row in zip(*columns))
-    atomic_write_text(path, text.getvalue())

@@ -1,4 +1,4 @@
-"""Margin losses, the probability link, and executable loss-relation checks.
+"""Margin losses and the probability link.
 
 Three losses of the margin z = y*f(x):
 
@@ -7,8 +7,8 @@ Three losses of the margin z = y*f(x):
 - ``logistic``: ln(1 + exp(-z)), the loss of logistic-loss training,
   paired with the link sigma(f).
 - ``logistic2``: ln(1 + exp(-2z)), the negative log-likelihood under the
-  two-sided link sigma(2f): logistic at 2f, compared with exponential loss
-  by the loss-relation checks.
+  two-sided link sigma(2f): logistic at 2f, which the test suite's
+  loss-relation checks compare with exponential loss.
 
 The link is bound to the training loss and recorded in model files:
 exponential calibrates with sigma(2f), logistic with sigma(f).
@@ -17,15 +17,11 @@ exponential calibrates with sigma(2f), logistic with sigma(f).
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DataError
-
-LN2 = math.log(2.0)
 
 
 def log1pexp(x):
@@ -111,110 +107,3 @@ def check_finite_scores(f) -> None:
     if bad.size:
         first = tuple(bad[0])
         raise DataError(f"score must be finite; row {first[0]} has {float(f[first])!r}")
-
-
-@dataclass(frozen=True)
-class CheckItem:
-    name: str
-    measured: float
-    expected: float
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return abs(self.measured - self.expected) <= self.tolerance
-
-    def line(self) -> str:
-        status = "pass" if self.passed else "FAIL"
-        return (
-            f"{status} {self.name}: measured={self.measured!r} "
-            f"expected={self.expected!r} tol={self.tolerance!r} "
-            f"delta={self.measured - self.expected!r}"
-        )
-
-
-@dataclass(frozen=True)
-class CheckReport:
-    items: tuple[CheckItem, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(item.passed for item in self.items)
-
-    def lines(self) -> list[str]:
-        return [item.line() for item in self.items]
-
-
-def _shifted_logistic(z):
-    # logistic2 plus the constant that matches exp(-z) at z=0
-    return log1pexp(-2.0 * np.asarray(z, dtype=np.float64)) + 1.0 - LN2
-
-
-def taylor_match_check(step: float = 1e-4, tol: float = 1e-5) -> CheckReport:
-    """Check the shifted logistic2 loss matches exp(-z) to second order at 0.
-
-    Value, first and second derivative are compared by central finite
-    differences with the given step; a third check bounds
-    |g(z) - exp(-z)| / |z|^3 on [-0.1, 0.1], the cubic-remainder ratio.
-    """
-    g = _shifted_logistic
-    e = lambda z: np.exp(-np.asarray(z, dtype=np.float64))
-    items = [
-        CheckItem("value_at_zero_shifted_logistic", float(g(0.0)), 1.0, 1e-12),
-        CheckItem("value_at_zero_exponential", float(e(0.0)), 1.0, 1e-12),
-    ]
-    for name, fn, expected_d1, expected_d2 in (
-        ("shifted_logistic", g, -1.0, 1.0),
-        ("exponential", e, -1.0, 1.0),
-    ):
-        d1 = (float(fn(step)) - float(fn(-step))) / (2.0 * step)
-        d2 = (float(fn(step)) - 2.0 * float(fn(0.0)) + float(fn(-step))) / (step * step)
-        items.append(CheckItem(f"first_derivative_at_zero_{name}", d1, expected_d1, tol))
-        items.append(CheckItem(f"second_derivative_at_zero_{name}", d2, expected_d2, tol))
-    grid = np.linspace(-0.1, 0.1, 2001)
-    grid = grid[grid != 0.0]
-    ratio = float(np.max(np.abs(g(grid) - e(grid)) / np.abs(grid) ** 3))
-    # the cubic coefficient of the difference is 1/6; allow headroom
-    items.append(CheckItem("cubic_remainder_ratio_bounded", ratio, 0.0, 0.25))
-    return CheckReport(tuple(items))
-
-
-def _golden_section_min(fn, lo: float, hi: float) -> float:
-    """Minimizer of a unimodal function on [lo, hi], to an interval of 1e-10."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = fn(c), fn(d)
-    while b - a > 1e-10:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = fn(d)
-    return 0.5 * (a + b)
-
-
-def common_minimizer_check(p_grid, tol: float = 1e-6) -> CheckReport:
-    """Check both losses' pointwise risks share the half-log-odds minimizer.
-
-    For each probability p of label +1, numerically minimizes
-    p*exp(-f) + (1-p)*exp(f) and p*ln(1+e^{-2f}) + (1-p)*ln(1+e^{2f}) over f
-    and compares both argmins with 0.5*ln(p/(1-p)).
-    """
-    items = []
-    for p in np.asarray(p_grid, dtype=np.float64):
-        p = float(p)
-        if not 0.0 < p < 1.0:
-            raise DataError("probabilities must be strictly inside (0, 1)")
-        expected = 0.5 * math.log(p / (1.0 - p))
-        phi_exp = lambda f: p * math.exp(-f) + (1.0 - p) * math.exp(f)
-        phi_log = lambda f: p * float(log1pexp(-2.0 * f)) + (1.0 - p) * float(log1pexp(2.0 * f))
-        m_exp = _golden_section_min(phi_exp, -20.0, 20.0)
-        m_log = _golden_section_min(phi_log, -20.0, 20.0)
-        items.append(CheckItem(f"exponential_minimizer_p={p:g}", m_exp, expected, tol))
-        items.append(CheckItem(f"logistic_minimizer_p={p:g}", m_log, expected, tol))
-    return CheckReport(tuple(items))

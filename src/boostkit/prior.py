@@ -159,14 +159,6 @@ def prior_objective(
     return data_term + eta * float(np.sum(relative_entropy(p, q)))
 
 
-def prior_loss(model: AdditiveModel, ds: Dataset, prior, cfg: PriorConfig) -> float:
-    """The combined data-plus-rule objective at the model's scores."""
-    if not ds.is_classification:
-        raise DataError("prior training requires classification labels")
-    p = _resolve_prior(ds, prior)
-    return prior_objective(model.score(ds.features), ds, p, cfg.eta, cfg.epsilon_clip)
-
-
 def augment_with_prior(ds: Dataset, prior, eta: float) -> Dataset:
     """3m-row weighted dataset whose logistic loss matches the objective.
 

@@ -9,7 +9,9 @@ reproducible bit-for-bit.
 
 SplitMix64 (Steele, Lea & Flood; public domain): output ``i`` (1-based) is
 ``mix64(seed + i * 0x9E3779B97F4A7C15)`` where ``mix64`` xors and multiplies
-with the fixed constants below. The state is just ``(seed, counter)``.
+with the fixed constants below. The state is just ``(seed, counter)``; a
+seed outside [0, 2**64) is an error, not reduced mod 2**64, so no two seeds
+give one stream.
 For seed 0, the first three outputs are 16294208416658607535,
 7960286522194355700, 487617019471545679 (the published reference vector).
 """
@@ -35,9 +37,9 @@ class RngState:
     __slots__ = ("seed", "counter")
 
     def __init__(self, seed: int, counter: int = 0):
-        if seed < 0 or counter < 0:
-            raise DataError("rng seed and counter must be nonnegative integers")
-        self.seed = int(seed) & _MASK64
+        if not 0 <= seed <= _MASK64 or counter < 0:
+            raise DataError("rng seed must be an integer in [0, 2**64) and counter an integer >= 0")
+        self.seed = int(seed)
         self.counter = int(counter)
 
     def next_uint64(self) -> int:

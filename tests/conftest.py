@@ -1,9 +1,11 @@
-"""Shared dataset builders for the test suite.
+"""Shared dataset builders and a CSV writer for the test suite.
 
 Test data synthesis uses numpy's Generator (seeded per test); the library's
 own RngState is reserved for operations whose bit-level reproducibility is
 part of the contract.
 """
+
+import csv
 
 import numpy as np
 import pytest
@@ -17,6 +19,18 @@ def dataset(features, labels, **kwargs) -> Dataset:
         labels=np.asarray(labels, dtype=np.float64),
         **kwargs,
     )
+
+
+def save_csv(ds: Dataset, path, label: str = "label") -> None:
+    """Write ``ds`` as CSV: features f0, f1, ..., the label column, then prior
+    and weight when set. Cells are shortest round-trip floats, so ``load_csv``
+    reads ``ds`` back exactly; lines end in CRLF, as csv.writer writes them."""
+    named = [(n, c) for n, c in (("prior", ds.prior), ("weight", ds.weights)) if c is not None]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([*(f"f{j}" for j in range(ds.d)), label, *(n for n, _ in named)])
+        columns = [*ds.features.T, ds.labels, *(c for _, c in named)]
+        writer.writerows([repr(float(v)) for v in row] for row in zip(*columns))
 
 
 def random_classification(rng: np.random.Generator, m: int, d: int) -> Dataset:

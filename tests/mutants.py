@@ -104,6 +104,21 @@ MUTANTS = (
         ("tests/test_data.py::test_blocks_match_cell_by_cell_oracle",
          "tests/test_data.py::test_reader_parity_with_named_prior"),
     ),
+    # the seed range and the test side of a split
+    Mutant(
+        "seeds reduced mod 2**64", "src/boostkit/rng.py",
+        "        if not 0 <= seed <= _MASK64 or counter < 0:\n",
+        "        seed = seed & _MASK64 if seed >= 0 else seed\n"
+        "        if not 0 <= seed <= _MASK64 or counter < 0:\n",
+        ("tests/test_rng.py::test_seed_at_or_above_two_to_the_64_rejected",),
+    ),
+    Mutant(
+        "split checks only the training side", "src/boostkit/data.py",
+        "    if n_test < 1:\n",
+        "    if False:\n",
+        ("tests/test_data.py::TestSplit::test_empty_test_is_error",
+         "tests/test_cli.py::TestActiveCommand::test_empty_test_split_is_a_data_error"),
+    ),
     # the public surface, the Dataset checks, the prior objective and the line search
     Mutant(
         "an __all__ name not imported", "src/boostkit/__init__.py",

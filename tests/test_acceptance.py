@@ -14,13 +14,12 @@ from boostkit.active import ActiveConfig, Pool, simulate
 from boostkit.boosting import (
     BoostConfig,
     alpha_binary,
-    logistic_weights,
     sign_pm1,
     train,
     update_distribution,
 )
 from boostkit.cli import main
-from boostkit.data import Dataset, save_csv, uniform_distribution
+from boostkit.data import normalized
 from boostkit.density import (
     Breakpoints,
     distribution_from_scores,
@@ -28,18 +27,14 @@ from boostkit.density import (
     survival_probabilities,
     train_cde,
 )
-from boostkit.losses import (
-    common_minimizer_check,
-    log1pexp,
-    loss_values,
-    taylor_match_check,
-)
+from boostkit.losses import log1pexp, loss_values
 from boostkit.model_io import load_model, save_classifier
-from boostkit.prior import PriorConfig, augment_with_prior, prior_loss, train_with_prior
+from boostkit.prior import PriorConfig, augment_with_prior, prior_objective, train_with_prior
 from boostkit.rng import RngState
 from boostkit.stumps import StumpSearchConfig
 
-from conftest import dataset, xor_task
+from conftest import dataset, save_csv, xor_task
+from oracles import common_minimizer_check, logistic_weights, taylor_match_check
 
 SQRT3_OVER_2 = 0.8660254037844386
 
@@ -130,7 +125,7 @@ def test_criterion_02_bound_chain(property_runs):
 def test_criterion_03_half_mass(property_runs):
     worst = 0.0
     for ds, model, _ in property_runs:
-        D = uniform_distribution(ds.m)
+        D = normalized(np.ones(ds.m))
         for alpha, stump in model.terms:
             h = stump.evaluate_matrix(ds.features)
             missed = sign_pm1(h) != ds.labels
@@ -278,7 +273,7 @@ def test_criterion_08_prior_knowledge():
         model, _ = train(ds, BoostConfig(rounds=rounds, loss_kind="logistic",
                                          stumps=StumpSearchConfig(mode="confidence")))
         aug_loss = float(np.sum(aug.weights * log1pexp(-(aug.labels * model.score(aug.features)))))
-        offsets.append(prior_loss(model, ds, p, pcfg) - aug_loss)
+        offsets.append(prior_objective(model.score(ds.features), ds, p, pcfg.eta, pcfg.epsilon_clip) - aug_loss)
     offset_dev = max(abs(a - b) for a in offsets for b in offsets)
     offset_ok = offset_dev <= 1e-9
 

@@ -17,13 +17,12 @@ from boostkit.boosting import (
     alpha_logistic_line_search,
     bound_report,
     error_rate,
-    logistic_weights,
     sign_pm1,
     stats_csv_rows,
     train,
     update_distribution,
 )
-from boostkit.data import normalized, uniform_distribution
+from boostkit.data import normalized
 from boostkit import boosting
 from boostkit.errors import BoostkitError, DataError, InvariantError, UsageError
 from boostkit.losses import sigmoid
@@ -65,7 +64,7 @@ class TestAlphaBinary:
 class TestZValue:
     def test_alpha_zero_gives_one(self, np_rng):
         m = 10
-        D = uniform_distribution(m)
+        D = normalized(np.ones(m))
         h = np_rng.uniform(-2, 2, size=m)
         y = np_rng.choice([-1.0, 1.0], size=m)
         assert oracles.z_value(D, h, y, 0.0) == pytest.approx(1.0, abs=1e-15)
@@ -74,7 +73,7 @@ class TestZValue:
         # one of four examples misclassified, optimal alpha
         y = np.array([1.0, 1.0, 1.0, 1.0])
         h = np.array([1.0, 1.0, 1.0, -1.0])
-        D = uniform_distribution(4)
+        D = normalized(np.ones(4))
         z = oracles.z_value(D, h, y, alpha_binary(0.25))
         assert z == pytest.approx(SQRT3_OVER_2, abs=1e-12)
         assert z == pytest.approx(2.0 * math.sqrt(0.25 * 0.75), abs=1e-12)
@@ -82,25 +81,25 @@ class TestZValue:
     def test_no_edge_gives_one(self):
         y = np.array([1.0, 1.0])
         h = np.array([1.0, -1.0])
-        assert oracles.z_value(uniform_distribution(2), h, y, alpha_binary(0.5)) == 1.0
+        assert oracles.z_value(normalized(np.ones(2)), h, y, alpha_binary(0.5)) == 1.0
 
 
 class TestAlphaLineSearch:
     def test_recovers_closed_form_for_binary_outputs(self):
         y = np.array([1.0, 1.0, 1.0, 1.0])
         h = np.array([1.0, 1.0, 1.0, -1.0])
-        alpha = alpha_line_search(uniform_distribution(4), h, y)
+        alpha = alpha_line_search(normalized(np.ones(4)), h, y)
         assert alpha == pytest.approx(HALF_LN3, abs=1e-8)
 
     def test_all_correct_hits_cap(self):
         y = np.array([1.0, -1.0])
         h = np.array([1.0, -1.0])
-        assert alpha_line_search(uniform_distribution(2), h, y) == ALPHA_CAP
+        assert alpha_line_search(normalized(np.ones(2)), h, y) == ALPHA_CAP
 
     def test_symmetric_case_is_zero(self):
         y = np.array([1.0, 1.0])
         h = np.array([1.0, -1.0])
-        assert alpha_line_search(uniform_distribution(2), h, y) == pytest.approx(0.0, abs=1e-10)
+        assert alpha_line_search(normalized(np.ones(2)), h, y) == pytest.approx(0.0, abs=1e-10)
 
     def test_zero_outputs_where_there_is_mass_give_zero(self):
         # Z is flat in alpha: the fit has converged
@@ -112,7 +111,7 @@ class TestAlphaLineSearch:
         # cap / max|h| overflows; an infinite alpha would make alpha * 0 a NaN
         y = np.array([1.0, -1.0])
         h = np.array([0.0, 2.2250738585e-309])
-        assert alpha_line_search(uniform_distribution(2), h, y) == -1.7976931348623157e308
+        assert alpha_line_search(normalized(np.ones(2)), h, y) == -1.7976931348623157e308
         f = np.zeros(2)
         a = alpha_logistic_line_search(np.ones(2), f, h, y, s=sigmoid(-(y * f)))
         assert a == -1.7976931348623157e308
@@ -641,7 +640,7 @@ class TestUpdateDistribution:
     def test_one_misclassified_example(self):
         y = np.array([1.0, 1.0, 1.0, 1.0])
         h = np.array([1.0, 1.0, 1.0, -1.0])
-        D2, z = update_distribution(uniform_distribution(4), h, y, alpha_binary(0.25))
+        D2, z = update_distribution(normalized(np.ones(4)), h, y, alpha_binary(0.25))
         np.testing.assert_allclose(D2, [1 / 6, 1 / 6, 1 / 6, 1 / 2], atol=1e-15)
         assert z == pytest.approx(SQRT3_OVER_2, abs=1e-15)
 
@@ -657,7 +656,7 @@ class TestUpdateDistribution:
     def test_all_correct_scaling_cancels(self):
         y = np.array([1.0, -1.0, 1.0])
         h = y.copy()
-        D = uniform_distribution(3)
+        D = normalized(np.ones(3))
         D2, z = update_distribution(D, h, y, 0.7)
         np.testing.assert_allclose(D2, D, atol=1e-15)
         assert z == pytest.approx(math.exp(-0.7), abs=1e-15)
@@ -681,7 +680,7 @@ class TestWeightSchemes:
     def test_empty_model_uniform(self):
         ds = dataset([[0.0], [1.0], [2.0], [3.0]], [1, -1, 1, -1])
         empty = AdditiveModel((), "logistic")
-        np.testing.assert_allclose(logistic_weights(empty, ds), 0.25, atol=1e-15)
+        np.testing.assert_allclose(oracles.logistic_weights(empty, ds), 0.25, atol=1e-15)
         np.testing.assert_allclose(
             oracles.exponential_weights(AdditiveModel((), "exponential"), ds), 0.25, atol=1e-15
         )
@@ -691,14 +690,14 @@ class TestWeightSchemes:
         # negative example weight 3/4 before normalization
         model = AdditiveModel(((LN3, Stump(0, 0.5, 1.0, 1.0)),), "logistic")
         ds = dataset([[0.0], [0.0]], [1.0, -1.0])
-        w = logistic_weights(model, ds)
+        w = oracles.logistic_weights(model, ds)
         np.testing.assert_allclose(w, [0.25, 0.75], atol=1e-12)
 
     def test_exponential_matches_iterative_updates(self, np_rng):
         ds = random_classification(np_rng, 40, 3)
         cfg = binary_config(8)
         model, _ = train(ds, cfg)
-        D = uniform_distribution(ds.m)
+        D = normalized(np.ones(ds.m))
         partial = []
         for alpha, stump in model.terms:
             partial.append((alpha, stump))
@@ -721,7 +720,7 @@ class TestWeightSchemes:
         cfg = BoostConfig(rounds=5, loss_kind="logistic",
                           stumps=StumpSearchConfig(mode="confidence"))
         model, _ = train(ds, cfg)
-        w = logistic_weights(model, ds)
+        w = oracles.logistic_weights(model, ds)
         f = model.score(ds.features)
         direct = 1.0 / (1.0 + np.exp(ds.labels * f))
         direct /= direct.sum()
@@ -763,7 +762,7 @@ class TestTrain:
     def test_train_matches_manual_loop(self, np_rng):
         ds = random_classification(np_rng, 25, 2)
         model, stats = train(ds, binary_config(6))
-        D = uniform_distribution(ds.m)
+        D = normalized(np.ones(ds.m))
         for (alpha, stump), s in zip(model.terms, stats):
             found, search_eps = best_binary_stump(ds, D)
             assert found == stump

@@ -14,10 +14,9 @@ import pytest
 
 from boostkit import cli, stumps
 from boostkit.cli import main
-from boostkit.data import save_csv
 from boostkit.model_io import load_model
 
-from conftest import dataset, random_classification, stump_separable
+from conftest import dataset, random_classification, save_csv, stump_separable
 
 
 def write_dataset(tmp_path, ds, name):
@@ -629,6 +628,21 @@ class TestCdeCommands:
                          "--n-samples", "3", "--seed", "11", "--out", out]) == 0
         assert open(s1, "rb").read() == open(s2, "rb").read()
 
+    def test_seed_range_ends_below_two_to_the_64(self, tmp_path, regression_csv, capsys):
+        model_path = str(tmp_path / "cde.txt")
+        assert main(["cde", "train", "--data", regression_csv, "--k", "3",
+                     "--rounds", "5", "--out", model_path]) == 0
+        outputs = {}
+        for seed in ("0", str(2**64 - 1), str(2**64)):
+            out = tmp_path / f"s{seed}.csv"
+            outputs[seed] = main(["cde", "sample", "--model", model_path, "--data", regression_csv,
+                                  "--seed", seed, "--out", str(out)]), out
+        assert outputs["0"][0] == outputs[str(2**64 - 1)][0] == 0
+        assert outputs["0"][1].read_bytes() != outputs[str(2**64 - 1)][1].read_bytes()
+        # 2**64 would alias seed 0: a usage error, and no file
+        assert outputs[str(2**64)][0] == 1 and not outputs[str(2**64)][1].exists()
+        assert "--seed must be an integer in [0, 2**64)" in capsys.readouterr().err
+
     def test_quantiles_ordered(self, tmp_path, regression_csv):
         model_path = str(tmp_path / "cde.txt")
         assert main(["cde", "train", "--data", regression_csv, "--k", "3",
@@ -682,6 +696,15 @@ class TestActiveCommand:
             ran = by_key[("random", seed, "0")]
             assert unc[3] == ran[3] == "40"
             assert unc[4] == ran[4]
+
+    def test_empty_test_split_is_a_data_error(self, tmp_path, capsys):
+        pool = write_dataset(tmp_path, dataset([[0.0], [1.0]], [-1.0, 1.0]), "pool.csv")
+        code = main(["active", "--data", pool, "--test-fraction", "0.1", "--init", "1",
+                     "--batch", "1", "--iterations", "0", "--rounds", "1",
+                     "--out", str(tmp_path / "c.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "data error: test_fraction=0.1 leaves no test rows (m=2)\n")
 
     def test_bad_seeds_flag(self, tmp_path, np_rng):
         pool = write_dataset(tmp_path, stump_separable(np_rng, 100, 2), "pool.csv")
@@ -790,6 +813,25 @@ def command_taking(key):
     return argv
 
 
+class TestSeedRange:
+    """Each seed flag takes an integer in [0, 2**64): RngState keeps a seed whole,
+    and reduced mod 2**64 a seed of 2**64 would repeat seed 0's draws."""
+
+    @pytest.mark.parametrize("key, value", [
+        ("seed", str(2**64)), ("split_seed", str(2**64)), ("seeds", f"{2**64},0"),
+    ])
+    def test_two_to_the_64_is_a_usage_error(self, tmp_path, monkeypatch, capsys, key, value):
+        monkeypatch.chdir(tmp_path)
+        assert main(command_taking(key) + [flag(key), value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: {flag(key)} must be ") and "in [0, 2**64)" in err
+
+    def test_largest_seed_is_accepted(self):
+        top = str(2**64 - 1)
+        assert cli._parse("seed", top) == cli._parse("split_seed", top) == 2**64 - 1
+        assert cli._parse("seeds", f"{top},0") == [2**64 - 1, 0]
+
+
 class TestFlagTable:
     def test_every_checked_flag_has_a_bad_value(self):
         assert set(BAD_VALUES) == {k for k, f in cli._FLAGS.items() if f.kind.accepts is not None}
@@ -858,10 +900,10 @@ CONFIG_RUNS = {
 def test_config_values_give_the_bytes_flags_give(tmp_path, monkeypatch, np_rng, capsys, run):
     monkeypatch.chdir(tmp_path)
     clf = random_classification(np_rng, 40, 2)
-    save_csv(dataset(clf.features, clf.labels, label_name="y"), "clf.csv")
-    save_csv(dataset(clf.features, clf.labels, label_name="y"), "pool.csv")
+    save_csv(clf, "clf.csv", label="y")
+    save_csv(clf, "pool.csv", label="y")
     X = np_rng.uniform(-1, 1, size=(50, 2))
-    save_csv(dataset(X, X[:, 0] + np_rng.normal(size=50), label_name="y"), "reg.csv")
+    save_csv(dataset(X, X[:, 0] + np_rng.normal(size=50)), "reg.csv", label="y")
     assert main(["cde", "train", "--data", "reg.csv", "--label-col", "y", "--k", "2",
                  "--rounds", "2", "--out", "cde.txt"]) == 0
     argv, outputs, values = CONFIG_RUNS[run]

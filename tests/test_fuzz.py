@@ -24,12 +24,12 @@ from hypothesis import strategies as st
 from boostkit import cli, data
 from boostkit.cli import _CONFIG_KEYS, main
 from boostkit.config import load_config
-from boostkit.data import load_csv, load_features_csv, save_csv
+from boostkit.data import load_csv, load_features_csv
 from boostkit.errors import BoostkitError
 from boostkit.model_io import load_model
 from boostkit.prior import load_rule_table
 
-from conftest import dataset
+from conftest import dataset, save_csv
 
 # Bytes a mutation may write: not UTF-8, separators, signs, non-finite words.
 PIECES = [b"\xe4", b"\xff", b"\x00", b"\n", b"\r", b",", b" ", b"=", b"#", b"-", b"e", b"9",

@@ -5,18 +5,11 @@ import pytest
 
 from boostkit.boosting import AdditiveModel, BoostConfig, train
 from boostkit.errors import DataError
-from boostkit.losses import (
-    common_minimizer_check,
-    log1pexp,
-    loss_values,
-    prob_positive,
-    sigmoid,
-    taylor_match_check,
-)
+from boostkit.losses import log1pexp, loss_values, prob_positive, sigmoid
 from boostkit.stumps import Stump, StumpSearchConfig
 
 import oracles
-from oracles import empirical_loss
+from oracles import common_minimizer_check, empirical_loss, taylor_match_check
 from conftest import dataset, random_classification
 
 HALF_LN3 = 0.5493061443340549

@@ -13,7 +13,6 @@ from boostkit.prior import (
     PriorRule,
     augment_with_prior,
     load_rule_table,
-    prior_loss,
     prior_objective,
     relative_entropy,
     train_with_prior,
@@ -30,6 +29,12 @@ HALF_LN_4_3 = 0.14384103622589042
 def logistic_cfg(rounds, stumps="confidence"):
     return BoostConfig(rounds=rounds, loss_kind="logistic",
                        stumps=StumpSearchConfig(mode=stumps))
+
+
+def prior_loss(model, ds, p, cfg):
+    """The combined objective at the model's scores, the prior ``p`` or else the dataset's."""
+    p = ds.prior if p is None else p
+    return prior_objective(model.score(ds.features), ds, p, cfg.eta, cfg.epsilon_clip)
 
 
 def weighted_logistic_loss(model, ds):
@@ -102,7 +107,7 @@ class TestPriorLoss:
     def test_missing_prior_rejected(self):
         ds = dataset([[1.0]], [1.0])
         with pytest.raises(DataError, match="no prior"):
-            prior_loss(AdditiveModel((), "logistic"), ds, None, PriorConfig(eta=1.0))
+            train_with_prior(ds, None, PriorConfig(eta=1.0), logistic_cfg(1))
 
     def test_eta_monotone_at_zero_score(self):
         ds = self.make_ds(m=5, prior_value=0.9)

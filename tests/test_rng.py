@@ -56,6 +56,14 @@ def test_permutation_and_sample():
         RngState(9).sample(5, 6)
 
 
+def test_seed_at_or_above_two_to_the_64_rejected():
+    # reduced mod 2**64, seed 2**64 would give seed 0's stream
+    assert RngState(2**64 - 1).next_uint64() != RngState(0).next_uint64()
+    for bad in (2**64, 2**64 + 1, 2**65):
+        with pytest.raises(DataError, match=r"\[0, 2\*\*64\)"):
+            RngState(bad)
+
+
 def test_negative_seed_rejected():
     with pytest.raises(DataError):
         RngState(-1)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from boostkit.data import uniform_distribution
+from boostkit.data import normalized
 from boostkit import stumps
 from boostkit.errors import DataError
 from boostkit.stumps import (
@@ -81,14 +81,14 @@ class TestEvaluate:
 class TestBestBinaryStump:
     def test_separable(self):
         ds = dataset(column([1, 2, 3, 4]), [-1, -1, 1, 1])
-        stump, eps = best_binary_stump(ds, uniform_distribution(4))
+        stump, eps = best_binary_stump(ds, normalized(np.ones(4)))
         assert eps == 0.0
         assert (stump.threshold, stump.left_output, stump.right_output) == (2.5, -1.0, 1.0)
 
     def test_one_mistake_epsilon(self):
         # exhaustive enumeration says the best candidate misses one point
         ds = dataset(column([1, 2, 3, 4]), [1, -1, 1, 1])
-        D = uniform_distribution(4)
+        D = normalized(np.ones(4))
         stump, eps = best_binary_stump(ds, D)
         assert eps == pytest.approx(0.25, abs=1e-12)
         assert eps == pytest.approx(brute_force_best_error(ds.features, ds.labels, D), abs=1e-12)
@@ -102,7 +102,7 @@ class TestBestBinaryStump:
     def test_regression_labels_rejected(self):
         ds = dataset(column([1, 2]), [0.5, 1.5])
         with pytest.raises(DataError):
-            best_binary_stump(ds, uniform_distribution(2))
+            best_binary_stump(ds, normalized(np.ones(2)))
 
     def test_matches_brute_force_on_random_data(self, np_rng):
         for _ in range(30):
@@ -126,13 +126,13 @@ class TestBestBinaryStump:
         X = np_rng.uniform(-1, 1, size=(8, 1))
         y = np_rng.choice([-1.0, 1.0], size=8)
         doubled = dataset(np.hstack([X, X]), y)
-        stump, _ = best_binary_stump(doubled, uniform_distribution(8))
+        stump, _ = best_binary_stump(doubled, normalized(np.ones(8)))
         assert stump.feature_index == 0
 
     def test_row_order_irrelevant(self, np_rng):
         X = np_rng.uniform(-1, 1, size=(12, 2))  # continuous => distinct values
         y = np_rng.choice([-1.0, 1.0], size=12)
-        D = uniform_distribution(12)
+        D = normalized(np.ones(12))
         base, base_eps = best_binary_stump(dataset(X, y), D)
         perm = np_rng.permutation(12)
         shuf, shuf_eps = best_binary_stump(dataset(X[perm], y[perm]), D)
@@ -173,12 +173,12 @@ class TestBestConfidenceStump:
         # both sides of the best split hold equal positive/negative mass
         X = column([1, 1, 2, 2])
         ds = dataset(X, [1, -1, 1, -1])
-        stump = best_confidence_stump(ds, uniform_distribution(4), smoothing=0.0)
+        stump = best_confidence_stump(ds, normalized(np.ones(4)), smoothing=0.0)
         assert stump.left_output == 0.0 and stump.right_output == 0.0
 
     def test_separable_with_smoothing(self):
         ds = dataset(column([1, 2, 3, 4]), [-1, -1, 1, 1])
-        stump = best_confidence_stump(ds, uniform_distribution(4), smoothing=0.125)
+        stump = best_confidence_stump(ds, normalized(np.ones(4)), smoothing=0.125)
         assert stump.threshold == 2.5
         expected = 0.5 * math.log(0.125 / 0.625)
         assert stump.left_output == pytest.approx(expected, abs=1e-15)
@@ -187,7 +187,7 @@ class TestBestConfidenceStump:
     def test_zero_smoothing_on_separable_data_errors(self):
         ds = dataset(column([1, 2, 3, 4]), [-1, -1, 1, 1])
         with pytest.raises(DataError, match="smoothing"):
-            best_confidence_stump(ds, uniform_distribution(4), smoothing=0.0)
+            best_confidence_stump(ds, normalized(np.ones(4)), smoothing=0.0)
 
     def test_default_smoothing_is_half_per_example(self):
         assert StumpSearchConfig(mode="confidence").resolve_smoothing(10) == 0.05
@@ -196,13 +196,13 @@ class TestBestConfidenceStump:
     def test_smoothing_must_be_finite_and_nonnegative(self, smoothing):
         ds = dataset(column([1, 2, 3, 4]), [-1, -1, 1, 1])
         with pytest.raises(DataError, match="smoothing must be finite and nonnegative"):
-            best_confidence_stump(ds, uniform_distribution(4), smoothing=smoothing)
+            best_confidence_stump(ds, normalized(np.ones(4)), smoothing=smoothing)
 
     def test_surrogates_overflowing_to_inf_tie(self):
         # (W + s)^2 overflows at s = 1e306: the first candidate wins the tie,
         # with outputs log((W+ + s)/(W- + s))/2 = 0
         ds = dataset(np.column_stack([[1.0, 2.0, 3.0, 4.0], [4.0, 3.0, 2.0, 1.0]]), [-1, -1, 1, 1])
-        stump = best_confidence_stump(ds, uniform_distribution(4), smoothing=1e306)
+        stump = best_confidence_stump(ds, normalized(np.ones(4)), smoothing=1e306)
         assert stump == Stump(0, 0.0, 0.0, 0.0)
 
     def test_label_flip_negates_outputs(self, np_rng):
@@ -221,7 +221,7 @@ class TestBestConfidenceStump:
     def test_row_order_irrelevant(self, np_rng):
         X = np_rng.uniform(-1, 1, size=(15, 2))
         y = np_rng.choice([-1.0, 1.0], size=15)
-        D = uniform_distribution(15)
+        D = normalized(np.ones(15))
         base = best_confidence_stump(dataset(X, y), D)
         perm = np_rng.permutation(15)
         shuf = best_confidence_stump(dataset(X[perm], y[perm]), D)
@@ -241,7 +241,7 @@ class TestBestConfidenceStump:
             m = int(np_rng.integers(3, 16))
             X = np_rng.uniform(-1, 1, size=(m, 2))
             y = np_rng.choice([-1.0, 1.0], size=m)
-            D = uniform_distribution(m)
+            D = normalized(np.ones(m))
             s = 1.0 / (2.0 * m)
             ds = dataset(X, y)
             stump = best_confidence_stump(ds, D, smoothing=s)
